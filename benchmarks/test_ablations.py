@@ -1,4 +1,4 @@
-"""Ablations — quantify each design mechanism DESIGN.md calls out.
+"""Ablations — quantify each design mechanism the paper motivates.
 
 Not a paper figure: these benches isolate (1) bit-level fusion itself,
 (2) the loop-ordering optimization and (3) layer fusion, by disabling each

@@ -1,6 +1,6 @@
 """Figure 13 — Bit Fusion speedup and energy reduction over Eyeriss.
 
-Shape checks (the acceptance criteria of DESIGN.md): Bit Fusion wins on
+Shape checks against the paper's Figure 13: Bit Fusion wins on
 every benchmark, the binary networks (Cifar-10, SVHN) gain the most, the
 recurrent and 8-bit-heavy networks gain the least, and the geometric means
 land in the multi-x band the paper reports (3.9x / 5.1x).  Absolute factors

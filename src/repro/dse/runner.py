@@ -4,7 +4,7 @@
 :class:`~repro.dse.spec.SweepSpec` expands to its fingerprinted workload
 grid, the grid executes through an
 :class:`~repro.session.session.EvaluationSession` (and therefore through
-the two-level artifact cache — a technology/bandwidth/array sweep compiles
+the staged artifact cache — a technology/bandwidth/array sweep compiles
 each network exactly once), and every point is distilled into an
 :class:`EvaluatedPoint` carrying the minimized objective metrics.  The
 :class:`DesignSpaceResult` holds the full grid plus its Pareto frontier.
@@ -186,8 +186,8 @@ def run_sweep(
     <repro.session.session.EvaluationSession.run_many>` in one batch, so
     duplicate points collapse onto one simulation, uncached points schedule
     longest-job-first across ``--jobs`` workers, and the per-stage artifact
-    cache (programs keyed structure-only, blocks with a content-addressed
-    layer-level fallback) is shared with every other experiment the session
+    cache (programs keyed structure-only, blocks keyed by name-free layer
+    content) is shared with every other experiment the session
     ran.  Parallel sweeps are warm-artifact aware: the main process compiles
     centrally and ships workers only cache-missing blocks, and the session's
     per-stage statistics (``session.stats``, rendered in the report footer)

@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the design mechanisms the paper motivates.
 
 The paper motivates three mechanisms beyond raw bit-level fusion; these
 ablations quantify each one on the reproduction's simulator:

@@ -915,13 +915,13 @@ def format_cache_info(cache_dir: str) -> str:
             line += f", {bucket['refs']} reuse hits"
         lines.append(line)
     lines.append(f"total: {total_entries} entries, {total_bytes / 1024:.1f} KiB")
-    # The layer level is what the NAS estimator composes from for free:
-    # report its dedupe ratio (reuse hits per stored entry) and the hottest
+    # Layer records are what the NAS estimator composes from for free:
+    # report their reuse ratio (reuse hits per stored entry) and the hottest
     # content fingerprints so users can see what a search will inherit.
     layers = summary.get("layer")
     if layers and layers["entries"]:
         ratio = layers["refs"] / layers["entries"]
-        lines.append(f"layer dedupe ratio: {ratio:.1f} reuse hits per stored layer")
+        lines.append(f"layer reuse ratio: {ratio:.1f} reuse hits per stored layer")
         top = cache.top_referenced("layer", limit=5)
         if top:
             lines.append("most-referenced layers:")
@@ -1069,6 +1069,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(error))
         return 0
 
+    unknown = [key for key in args.experiments or () if key not in _EXPERIMENTS_BY_KEY]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(spec.key for spec in EXPERIMENTS)}"
+        )
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     backend = _resolve_backend(parser, args)

@@ -91,15 +91,12 @@ class CompiledBlock:
         """Stable content hash over the serialized block payload.
 
         Two blocks with identical instructions, layer, tiling and fusion
-        metadata hash the same in any process; this digest (plus the
-        simulation-affecting accelerator parameters) keys cached per-block
-        simulation results.
+        metadata hash the same in any process.  Unlike
+        :meth:`layer_fingerprint` it sees the block and layer names; the
+        batched executor groups identical block batches by it.
 
-        Memoized on the (frozen) instance: every block-level cache lookup
-        re-derives this digest, and serializing the instruction image anew
-        for each lookup was a measurable share of the warm path.  The memo
-        is stored outside the dataclass fields, so equality, ``asdict`` and
-        pickling are unaffected.
+        Memoized on the (frozen) instance, stored outside the dataclass
+        fields, so equality, ``asdict`` and pickling are unaffected.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
@@ -133,13 +130,13 @@ class CompiledBlock:
         Unlike :meth:`fingerprint`, this digest ignores the block and layer
         names, so the same (layer shape, bitwidths, tiling, instruction
         image) appearing in two different networks — the model-family case —
-        hashes identically.  It is the basis of the content-addressed
-        *layer* level of the result cache
+        hashes identically.  It is the basis of the content-addressed key
+        of a simulated block in the result cache
         (:func:`repro.session.engine.layer_cache_key`); a simulated result
         found through it is renamed to the requesting block before use.
 
-        Memoized like :meth:`fingerprint` (the layer-level fallback key is
-        derived on every block lookup).
+        Memoized like :meth:`fingerprint` (the key is derived on every
+        block lookup).
         """
         cached = self.__dict__.get("_layer_fingerprint")
         if cached is None:

@@ -13,12 +13,12 @@ latency/energy estimator for arbitrary candidate
    payload session runs use, so a zoo network priced here reuses the program
    a report compiled (and vice versa); fresh compilations go through the
    session's tiling memo (:func:`~repro.session.engine.make_plan_resolver`);
-2. **resolve every block through both cache levels**
+2. **resolve every block through its content-addressed layer key**
    (:func:`~repro.session.engine.lookup_block`) — blocks whose content the
    cache has seen, under *any* network or layer name, compose for free;
 3. **batch only the genuinely unseen layers** through the existing batched
    executor (:func:`~repro.session.engine.simulate_planned_blocks`) and
-   store their results back under both cache levels
+   store their results back under that key
    (:func:`~repro.session.engine.store_layer_record`), so each novel layer
    is simulated exactly once across a whole search;
 4. **compose** via :func:`~repro.sim.results.compose_network_result` — the
@@ -50,7 +50,6 @@ from repro.isa.compiler import FusionCompiler
 from repro.isa.program import Program
 from repro.session.cache import CacheStats, ResultCache
 from repro.session.engine import (
-    block_cache_key,
     layer_cache_key,
     lookup_block,
     make_plan_resolver,
@@ -74,8 +73,8 @@ class EstimatorStats:
     ``networks`` counts candidates requested, ``networks_deduped`` the
     subset that were in-batch duplicates of another candidate (same network
     fingerprint — priced once).  Per block of every unique candidate:
-    ``layers_composed`` were served straight from the cache (block- or
-    layer-level), ``layers_simulated`` were genuinely novel and simulated
+    ``layers_composed`` were served straight from the cache,
+    ``layers_simulated`` were genuinely novel and simulated
     (exactly once each), and ``deduped`` were deferred to an identical
     in-flight block of the same batch.  ``programs_compiled`` /
     ``programs_reused`` track the compile stage the same way.
@@ -178,7 +177,7 @@ class Estimator:
         self.stats = EstimatorStats()
         self.cache_stats = CacheStats()
         self._resolver = make_plan_resolver(self.config, self.cache, self.cache_stats)
-        # In-flight block/layer claims: keys some plan has promised to
+        # In-flight layer-key claims: keys some plan has promised to
         # simulate and store but has not yet composed.  Later plans defer to
         # the claimant instead of re-simulating.  Claims are released in
         # ``estimate_many``'s ``finally`` — on success they are redundant
@@ -279,27 +278,23 @@ class Estimator:
         simulate: list[int] = []
         deferred: list[int] = []
         for index, compiled in enumerate(program):
-            value, level, source = lookup_block(compiled, self.config, self.cache)
+            value, source = lookup_block(compiled, self.config, self.cache)
             if value is not None:
-                (self.cache_stats.blocks if level == "block" else self.cache_stats.layers).record_hit(source)
+                self.cache_stats.blocks.record_hit(source)
                 self.stats.layers_composed += 1
                 cached[index] = value
                 continue
-            block_key = block_cache_key(compiled.fingerprint(), self.config)
-            layer_key = layer_cache_key(compiled, self.config)
+            key = layer_cache_key(compiled, self.config)
             # Same in-batch claim protocol as plan_workload: identical layer
             # content already scheduled (claimed in flight) is deferred to
             # compose time, never simulated twice.
-            if block_key in self._in_flight or layer_key in self._in_flight:
+            if key in self._in_flight:
                 deferred.append(index)
                 self.stats.deduped += 1
                 continue
-            self._in_flight.add(block_key)
-            self._in_flight.add(layer_key)
-            claimed.add(block_key)
-            claimed.add(layer_key)
+            self._in_flight.add(key)
+            claimed.add(key)
             self.cache_stats.blocks.record_miss()
-            self.cache_stats.layers.record_miss()
             self.stats.layers_simulated += 1
             simulate.append(index)
         return _CandidatePlan(
@@ -348,12 +343,12 @@ class Estimator:
                 continue
             # Deferred: the claiming plan (earlier in this batch, or an
             # earlier block of this very program) has stored the record.
-            value, level, source = lookup_block(compiled, self.config, self.cache)
+            value, source = lookup_block(compiled, self.config, self.cache)
             if value is None:  # pragma: no cover — claim protocol guarantees it
                 raise RuntimeError(
                     f"deferred block {compiled.name!r} of {plan.network.name!r} "
                     "missing at compose time"
                 )
-            (self.cache_stats.blocks if level == "block" else self.cache_stats.layers).record_hit(source)
+            self.cache_stats.blocks.record_hit(source)
             layers.append(value)
         return layers

@@ -25,7 +25,7 @@ Candidate networks are named by the *content* of their layer list
 (``base/nas-<digest>``): two mutation paths that land on the same
 architecture produce fingerprint-identical networks, so the search archive
 and the estimator's in-batch dedupe collapse them — and the estimator's
-layer-level cache dedupes everything else, because layer fingerprints are
+content-addressed block cache dedupes everything else, because layer fingerprints are
 name-free.
 """
 

@@ -8,8 +8,8 @@ comparison routes through:
   fingerprint.
 * :mod:`~repro.session.engine` — the staged compile → simulate-blocks →
   compose pipeline, with a cacheable artifact at every seam (compiled
-  programs keyed structure-only; per-block results keyed by block
-  fingerprint + simulation-affecting config).
+  programs keyed structure-only; per-block results keyed by name-free
+  layer content + simulation-affecting config).
 * :class:`~repro.session.cache.ResultCache` — fingerprint-keyed artifact
   store, in-memory with an optional manifest-indexed, LRU-bounded on-disk
   layer (segmented pack-file store by default —
@@ -22,7 +22,7 @@ comparison routes through:
 
 Cache keys and invalidation
 ---------------------------
-Three fingerprint families key the cache, each hashing exactly the inputs
+Four fingerprint families key the cache, each hashing exactly the inputs
 that determine its artifact — so invalidation is automatic: change an
 input and the key changes, leaving the stale entry unreferenced (and
 eventually LRU-evicted from disk).
@@ -37,16 +37,14 @@ eventually LRU-evicted from disk).
   and compiler flags, the only inputs the compiler reads.  Bandwidth,
   array geometry, frequency and technology node are deliberately excluded,
   so sweeps along those axes reuse one compiled program.
-* **Block key** (:func:`~repro.session.engine.block_cache_key`): the
-  block's content fingerprint plus the simulation-affecting configuration
-  (array geometry, buffer capacities and access width, bandwidth,
-  technology node).  Frequency and the configuration name are excluded —
-  they only affect composition metadata.
-* **Layer key** (:func:`~repro.session.engine.layer_cache_key`): the
-  block's *name-free* content fingerprint plus the same
-  simulation-affecting configuration.  Block-key lookups fall back to this
-  content-addressed level on a miss, so identical (layer, tiling) pairs
-  dedupe across different networks in model-family sweeps.
+* **Layer key** (:func:`~repro.session.engine.layer_cache_key`), the one
+  key of a simulated block: the block's *name-free* content fingerprint
+  plus the simulation-affecting configuration (array geometry, buffer
+  capacities and access width, bandwidth, technology node).  Frequency and
+  the configuration name are excluded — they only affect composition
+  metadata.  Being content-addressed, identical (layer, tiling) pairs
+  dedupe across different networks in model-family sweeps; a hit is
+  renamed to the requesting block.
 * **Tiling key** (:func:`~repro.session.engine.tiling_cache_key`): one
   tiling search's inputs — GEMM shape and bitwidths, the loop orders
   considered, and the scratchpad capacities.  The compiler consults this
@@ -97,7 +95,6 @@ from repro.session.engine import (
     WorkUnit,
     WorkloadExecutionError,
     audit_workload_cache,
-    block_cache_key,
     describe_workload_error,
     build_model,
     compile_program,
@@ -154,7 +151,6 @@ __all__ = [
     "Workload",
     "WorkloadExecutionError",
     "audit_workload_cache",
-    "block_cache_key",
     "build_model",
     "compile_program",
     "compile_workload",

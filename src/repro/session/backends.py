@@ -122,7 +122,7 @@ class InlineBackend(ExecutionBackend):
 
         Without a checkpoint, every Bit Fusion workload of the batch is
         planned against the cache first (central compile, per-block
-        resolution through both cache levels, in-batch duplicates deferred
+        resolution through the layer key, in-batch duplicates deferred
         to their claimant exactly like the parallel protocol); the
         genuinely missing blocks of *all* plans then simulate through as
         few vectorized batched calls as possible
@@ -233,7 +233,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """Run the schedule over the pool, warm artifacts resolved first.
 
         Each workload is planned against the cache in the main process
-        (central compile, per-block resolution through both cache levels);
+        (central compile, per-block resolution through the layer key);
         only plans with genuinely missing work ship a
         :class:`~repro.session.engine.WorkUnit` to the pool, and each unit
         is submitted the moment its plan is ready, so workers simulate the

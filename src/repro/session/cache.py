@@ -1,4 +1,4 @@
-"""Two-level artifact cache keyed by content fingerprints (memory + disk).
+"""Artifact cache keyed by content fingerprints (memory + disk).
 
 The staged compile → simulate-blocks → compose pipeline produces cacheable
 artifacts at every seam, and this module stores all of them behind one
@@ -8,16 +8,14 @@ fingerprint-keyed interface:
   *structure-only* fingerprint (network structure, batch, scratchpad sizes,
   compiler flags), so sweeps that vary only simulation parameters (e.g.
   off-chip bandwidth) reuse one compilation;
-* ``layer_result`` — one simulated block's
-  :class:`~repro.sim.results.LayerResult`, keyed by the block fingerprint
-  plus the simulation-affecting configuration, so unchanged blocks are never
-  re-simulated;
-* ``layer`` — the same record stored *content-addressed*: keyed by the
-  name-free layer fingerprint (layer shape + bitwidths + tiling +
-  instruction image) plus the simulation-affecting configuration, with the
-  record's name normalized away.  Block-level lookups fall back to this
-  level on a miss, so identical layers dedupe across different networks in
-  model-family sweeps (the entry is renamed to the requesting block on use);
+* ``layer`` — one simulated block's
+  :class:`~repro.sim.results.LayerResult`, stored *content-addressed*:
+  keyed by the name-free layer fingerprint (layer shape + bitwidths +
+  tiling + instruction image) plus the simulation-affecting configuration
+  (:func:`repro.session.engine.layer_cache_key`), with the record's name
+  normalized away.  Unchanged blocks are never re-simulated, and identical
+  layers dedupe across different networks in model-family sweeps (the
+  entry is renamed to the requesting block on use);
 * ``network_result`` — a full composed/simulated
   :class:`~repro.sim.results.NetworkResult` (the baselines' unit of work);
 * ``tiling`` — one :class:`~repro.isa.tiling.TilingPlan`, keyed by the GEMM
@@ -238,11 +236,10 @@ class CacheStats:
     (misses are compilations), ``tilings`` tracks the tiling-plan memo the
     compiler consults before every search (misses are actual searches —
     the compiler's dominant cost — and hits are duplicate GEMM shapes
-    served from the memo), ``blocks`` tracks block-key lookups of the
-    simulate-blocks stage (misses are per-block simulations) and ``layers``
-    tracks the content-addressed layer-level fallback consulted on every
-    block-key miss (hits are simulations avoided by cross-network layer
-    dedupe).  ``workers`` tracks the parallel worker protocol.
+    served from the memo) and ``blocks`` tracks the content-addressed
+    block lookups of the simulate-blocks stage (misses are per-block
+    simulations; hits include identical layers shared across networks).
+    ``workers`` tracks the parallel worker protocol.
     ``compile_seconds`` accumulates the wall-clock time spent inside
     ``FusionCompiler.compile`` (cache misses only), surfaced by the report
     footer's ``compile time`` line so compile-cost regressions are visible
@@ -269,7 +266,6 @@ class CacheStats:
     programs: StageStats = field(default_factory=StageStats)
     tilings: StageStats = field(default_factory=StageStats)
     blocks: StageStats = field(default_factory=StageStats)
-    layers: StageStats = field(default_factory=StageStats)
     workers: WorkerStats = field(default_factory=WorkerStats)
 
     @property
@@ -304,7 +300,6 @@ class CacheStats:
         lines.append(self.programs.summary("program cache", "compiles"))
         lines.append(self.tilings.summary("tiling memo", "tiling searches"))
         lines.append(self.blocks.summary("block cache", "block simulations"))
-        lines.append(self.layers.summary("layer dedup", "layer-key misses"))
         if self.retries:
             # Only on faulty runs: fault-free footers must stay byte-identical
             # across releases (CI greps them).
@@ -352,9 +347,6 @@ def _program_stats_from_dict(payload: dict[str, Any]) -> ProgramStats:
 
 _SERIALIZERS = {
     "network_result": (network_result_to_dict, network_result_from_dict),
-    "layer_result": (layer_result_to_dict, layer_result_from_dict),
-    # Content-addressed layer entries are LayerResults stored under a
-    # name-free key (and with a normalized name); the payload is identical.
     "layer": (layer_result_to_dict, layer_result_from_dict),
     "program": (Program.to_dict, Program.from_dict),
     "program_stats": (_program_stats_to_dict, _program_stats_from_dict),
@@ -366,7 +358,7 @@ def _kind_of(value: Any) -> str:
     if isinstance(value, NetworkResult):
         return "network_result"
     if isinstance(value, LayerResult):
-        return "layer_result"
+        return "layer"
     if isinstance(value, Program):
         return "program"
     if isinstance(value, ProgramStats):
@@ -444,9 +436,6 @@ class ResultCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_bytes = max_bytes
         self._manifest: dict[str, dict[str, Any]] = {}
-        #: Memory-only keys whose recency touches route to another key's
-        #: manifest entry (:meth:`alias`) — promoted layer-level hits.
-        self._aliases: dict[str, str] = {}
         self._manifest_dirty = False
         self._seq = 0
         #: Running total of manifest entry bytes, maintained incrementally
@@ -619,22 +608,8 @@ class ResultCache:
         if self._store is not None:
             self._store.flush()
 
-    def alias(self, key: str, target: str) -> None:
-        """Route recency touches on a memory-only ``key`` to ``target``.
-
-        The engine's layer-level dedupe promotes a layer hit into memory
-        under the requesting *block* key without persisting it (the payload
-        already lives on disk under the layer key).  Repeat memory hits on
-        that block key would otherwise touch nothing — the block key has no
-        manifest entry — leaving the hot backing layer entry LRU-coldest
-        and first to be evicted under a size budget.  Aliasing makes those
-        touches land on the persistent entry that actually serves them.
-        """
-        if key != target:
-            self._aliases[key] = target
-
     def _touch(self, key: str) -> None:
-        """Mark an entry (or the entry it aliases) most-recently-used.
+        """Mark an entry most-recently-used.
 
         Touches are batched in memory and flushed with the next write (or an
         explicit :meth:`flush`): a warm, read-mostly run should not rewrite
@@ -644,10 +619,7 @@ class ResultCache:
         """
         entry = self._manifest.get(key)
         if entry is None:
-            target = self._aliases.get(key)
-            entry = self._manifest.get(target) if target is not None else None
-            if entry is None:
-                return
+            return
         self._seq += 1
         entry["seq"] = self._seq
         entry["refs"] = int(entry.get("refs", 0)) + 1
@@ -825,7 +797,6 @@ class ResultCache:
         value: Any,
         description: dict[str, Any] | None = None,
         persist: bool = True,
-        kind: str | None = None,
     ) -> None:
         """Store an entry in memory and, when configured, on disk.
 
@@ -833,11 +804,6 @@ class ResultCache:
         directory is configured — the session uses this for composed
         network results whose per-block artifacts already live on disk
         (persisting the composition too would just duplicate them).
-
-        ``kind`` overrides the kind inferred from the value's type; the
-        engine uses it to store content-addressed ``layer`` entries, which
-        are ordinary :class:`~repro.sim.results.LayerResult` payloads filed
-        under a different kind than the block-keyed ``layer_result`` ones.
 
         Json layout: the entry file is written immediately (and
         atomically).  Pack layout: the record is appended to this process's
@@ -848,10 +814,7 @@ class ResultCache:
         batch and on close), so storing N artifacts costs O(1) manifest
         rewrites instead of N.
         """
-        if kind is None:
-            kind = _kind_of(value)
-        elif kind not in _SERIALIZERS:
-            raise ValueError(f"unknown cache entry kind {kind!r}")
+        kind = _kind_of(value)
         self._memory[key] = value
         self._prefetched.pop(key, None)
         if self.cache_dir is None or not persist:

@@ -14,23 +14,18 @@ seam:
    program across all its points.
 2. **simulate-blocks** — run each instruction block independently through
    :class:`~repro.sim.executor.BitFusionSimulator` into a serializable
-   :class:`~repro.sim.results.LayerResult`, keyed by the block fingerprint
-   plus the simulation-affecting configuration (:func:`block_cache_key`).
-   Blocks whose cycle/energy inputs are unchanged are never re-simulated.
+   :class:`~repro.sim.results.LayerResult`, keyed by the content-addressed
+   **layer key** (:func:`layer_cache_key`): the *name-free* layer
+   fingerprint plus the simulation-affecting configuration.  Blocks whose
+   cycle/energy inputs are unchanged are never re-simulated, and identical
+   (layer, tiling) pairs dedupe across the networks of a model-family
+   sweep.  A stored record carries no name; a hit is renamed to the
+   requesting block before use, so composition stays byte-identical.
 3. **compose** — assemble the per-block results into a
    :class:`~repro.sim.results.NetworkResult`
    (:func:`~repro.sim.results.compose_network_result`).  Composition is
    pure, so a result composed from cached artifacts is byte-identical to a
    fresh monolithic simulation.
-
-The simulate stage resolves each block through **two cache levels**: the
-block key (:func:`block_cache_key`, block content fingerprint + sim config)
-and, on a miss, the content-addressed **layer key**
-(:func:`layer_cache_key`, the *name-free* layer fingerprint + sim config).
-The layer level is what dedupes identical (layer, tiling) pairs across
-different networks in model-family sweeps; a record found through it is
-renamed to the requesting block before use, so composition stays
-byte-identical.
 
 Baseline platforms (Eyeriss, Stripes, GPUs, the temporal design) have no
 compile stage; they run as a single simulate step and cache whole results.
@@ -54,7 +49,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
@@ -87,7 +82,6 @@ __all__ = [
     "WorkloadExecutionError",
     "audit_workload_cache",
     "build_model",
-    "block_cache_key",
     "compile_program",
     "compile_workload",
     "compose_plan",
@@ -367,9 +361,9 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
     only) and the batch size (already folded into the block's tiling).
 
     Memoized per configuration (``BitFusionConfig`` is frozen, hence
-    hashable): the payload rides every block- and layer-level cache key,
-    once per block per lookup.  Callers never mutate the returned dict —
-    it feeds straight into :func:`~repro.fingerprint.fingerprint_payload`.
+    hashable): the payload rides every layer cache key, once per block per
+    lookup.  Callers never mutate the returned dict — it feeds straight
+    into :func:`~repro.fingerprint.fingerprint_payload`.
     """
     return {
         "rows": config.rows,
@@ -384,24 +378,6 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
 
 
 @lru_cache(maxsize=None)
-def block_cache_key(block_fingerprint: str, config: BitFusionConfig) -> str:
-    """Cache key of one simulated block: block content + sim-affecting config.
-
-    Memoized: both inputs are hashable and the key is pure, and the NAS
-    estimator's warm path (:mod:`repro.nas`) resolves every block of every
-    candidate through this key — re-hashing the sim-config payload per
-    lookup would dominate a fully-cached estimate.
-    """
-    return fingerprint_payload(
-        {
-            "artifact": "block",
-            "block": block_fingerprint,
-            "sim": _sim_config_payload(config),
-        }
-    )
-
-
-@lru_cache(maxsize=None)
 def _layer_content_key(layer_fingerprint: str, config: BitFusionConfig) -> str:
     return fingerprint_payload(
         {
@@ -413,76 +389,49 @@ def _layer_content_key(layer_fingerprint: str, config: BitFusionConfig) -> str:
 
 
 def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
-    """Content-addressed cache key of one simulated layer.
+    """Content-addressed cache key of one simulated block.
 
-    Unlike :func:`block_cache_key`, the layer key hashes the block's
-    *name-free* content (:meth:`~repro.isa.program.CompiledBlock.
-    layer_fingerprint`): identical (layer shape, bitwidths, tiling,
-    instruction image) pairs collapse onto one key no matter which network —
-    or which layer name within a network — produced them.  Block-level
-    lookups fall back to this key on a miss, which is what dedupes
-    simulations across the model-family sweeps the paper's benchmark suite
-    is full of.  Memoized like :func:`block_cache_key` (the layer
-    fingerprint is itself memoized on the block instance).
+    Hashes the block's *name-free* content (:meth:`~repro.isa.program.
+    CompiledBlock.layer_fingerprint`) plus the simulation-affecting
+    configuration: identical (layer shape, bitwidths, tiling, instruction
+    image) pairs collapse onto one key no matter which network — or which
+    layer name within a network — produced them, which dedupes simulations
+    across the model-family sweeps the paper's benchmark suite is full of.
+    Memoized: the NAS estimator's warm path (:mod:`repro.nas`) resolves
+    every block of every candidate through this key, and the layer
+    fingerprint is itself memoized on the block instance.
     """
     return _layer_content_key(compiled.layer_fingerprint(), config)
 
 
 def lookup_block(
     compiled: CompiledBlock, config: BitFusionConfig, cache: ResultCache
-) -> tuple[LayerResult | None, str | None, str]:
-    """Resolve one block's simulated result through both cache levels.
+) -> tuple[LayerResult | None, str]:
+    """Resolve one block's simulated result through its layer key.
 
-    Tries the block key first, then falls back to the content-addressed
-    layer key.  Returns ``(value, level, source)`` where ``level`` is
-    ``"block"`` or ``"layer"`` (``None`` on a miss) and ``source`` is
-    ``"memory"``/``"disk"``/``"miss"``.  A layer-level hit is renamed to the
-    requesting block and promoted into memory under the block key (memory
-    only — the layer-level entry already persists the payload), so repeat
-    lookups skip the fallback.  No statistics are recorded here; callers
-    account for hits and misses in their own stage counters.
+    Returns ``(value, source)`` where ``source`` is ``"memory"``/``"disk"``
+    or ``"miss"`` (``value`` is then ``None``).  A hit is renamed to the
+    requesting block.  No statistics are recorded here; callers account for
+    hits and misses in their own stage counters.
     """
-    block_key = block_cache_key(compiled.fingerprint(), config)
-    value, source = cache.get_with_source(block_key)
-    if value is not None:
-        return value, "block", source
-    layer_key = layer_cache_key(compiled, config)
-    value, source = cache.get_with_source(layer_key)
+    value, source = cache.get_with_source(layer_cache_key(compiled, config))
     if value is None:
-        return None, None, "miss"
-    value = replace(value, name=compiled.name)
-    cache.put(block_key, value, persist=False)
-    # The promoted block key has no manifest entry of its own (the payload
-    # persists under the layer key), so route its recency touches to the
-    # backing layer entry — otherwise a hot shared layer served through
-    # promoted block keys looks LRU-coldest on disk and is evicted first.
-    cache.alias(block_key, layer_key)
-    return value, "layer", source
+        return None, source
+    return value.renamed(compiled.name), source
 
 
 def prefetch_block_artifacts(
     program: Program, config: BitFusionConfig, cache: ResultCache
 ) -> None:
-    """Bulk-stage a program's block-level artifacts: one index pass.
+    """Bulk-stage a program's block records: one index pass.
 
-    Resolves every block key through :meth:`ResultCache.prefetch`, then
-    the content-addressed layer keys of only the blocks whose block-keyed
-    entry is absent — exactly the records the per-block
-    :func:`lookup_block` loop that follows would read one at a time.  A
-    no-op (``prefetch`` returns ``None``) on json and memory-only caches,
-    where there is no bulk read to exploit; lookup semantics and statistics
-    are identical either way.
+    Resolves every block's layer key through :meth:`ResultCache.prefetch`
+    — exactly the records the per-block :func:`lookup_block` loop that
+    follows would read one at a time.  A no-op on json and memory-only
+    caches, where there is no bulk read to exploit; lookup semantics and
+    statistics are identical either way.
     """
-    block_keys = [
-        block_cache_key(compiled.fingerprint(), config) for compiled in program
-    ]
-    missing = cache.prefetch(block_keys)
-    if missing:
-        cache.prefetch(
-            layer_cache_key(compiled, config)
-            for compiled, block_key in zip(program, block_keys)
-            if block_key in missing
-        )
+    cache.prefetch(layer_cache_key(compiled, config) for compiled in program)
 
 
 def store_layer_record(
@@ -492,26 +441,18 @@ def store_layer_record(
     layer: LayerResult,
     description: dict[str, Any] | None = None,
 ) -> None:
-    """Store one freshly simulated block under both cache levels.
+    """Store one freshly simulated block under its layer key.
 
-    The block-keyed entry serves exact repeats; the layer-keyed entry (name
-    normalized away, so the stored payload is independent of which network
-    asked first) serves any block with identical layer content.  Takes the
-    raw configuration rather than a :class:`Workload` so callers pricing
-    arbitrary networks (the NAS estimator) insert records the same way
-    session runs do.
+    The name is normalized away, so the stored payload is independent of
+    which network asked first and serves any block with identical layer
+    content.  Takes the raw configuration rather than a :class:`Workload`
+    so callers pricing arbitrary networks (the NAS estimator) insert
+    records the same way session runs do.
     """
-    description = description or {}
-    cache.put(
-        block_cache_key(compiled.fingerprint(), config),
-        layer,
-        {**description, "artifact": "block", "block": compiled.name},
-    )
     cache.put(
         layer_cache_key(compiled, config),
-        replace(layer, name=""),
-        {**description, "artifact": "layer", "block": compiled.name},
-        kind="layer",
+        layer.renamed(""),
+        {**(description or {}), "artifact": "layer", "block": compiled.name},
     )
 
 
@@ -552,18 +493,18 @@ def try_compose_from_cache(
     if program is None:
         return None, False
     prefetch_block_artifacts(program, workload.config, cache)
-    found: list[tuple[LayerResult, str, str]] = []
+    found: list[tuple[LayerResult, str]] = []
     for compiled in program:
-        value, level, source = lookup_block(compiled, workload.config, cache)
+        value, source = lookup_block(compiled, workload.config, cache)
         if value is None:
             return None, False
-        found.append((value, level, source))
+        found.append((value, source))
     stats.programs.record_hit(program_source)
     from_disk = program_source == "disk"
-    for _, level, source in found:
-        (stats.blocks if level == "block" else stats.layers).record_hit(source)
+    for _, source in found:
+        stats.blocks.record_hit(source)
         from_disk = from_disk or source == "disk"
-    return _compose(workload, program, [layer for layer, _, _ in found]), from_disk
+    return _compose(workload, program, [layer for layer, _ in found]), from_disk
 
 
 class CacheAudit(NamedTuple):
@@ -612,7 +553,7 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
 
     * ``"cached"`` — the workload would execute without any fresh work: a
       whole result is stored (baselines), or every artifact needed to
-      compose one is (Bit Fusion: program plus all block/layer results);
+      compose one is (Bit Fusion: program plus all block results);
     * ``"partial"`` — the compiled program is cached but
       ``missing_blocks`` of its ``total_blocks`` blocks would simulate;
     * ``"cold"`` — no program artifact is cached (``total_blocks`` is 0
@@ -625,9 +566,9 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
       is never misreported as entirely unstarted.
 
     No statistics are recorded and nothing executes.  Only the program
-    payload is read (its blocks are needed to derive the block/layer
-    keys); block, layer and tiling records are probed for *existence*
-    without deserializing or memory-promoting them, so auditing a planned
+    payload is read (its blocks are needed to derive the layer keys);
+    layer and tiling records are probed for *existence* without
+    deserializing or memory-promoting them, so auditing a planned
     grid against a large cache directory stays cheap — ``python -m
     repro.harness sweep --dry-run`` uses this to diff a grid against a
     ``--cache-dir`` before committing to the run, and ``sweep --resume``
@@ -643,10 +584,7 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
         return CacheAudit("cold", 0, 0, cached, total)
     missing = 0
     for compiled in program:
-        if (
-            block_cache_key(compiled.fingerprint(), workload.config) not in cache
-            and layer_cache_key(compiled, workload.config) not in cache
-        ):
+        if layer_cache_key(compiled, workload.config) not in cache:
             missing += 1
     state = "cached" if missing == 0 else "partial"
     return CacheAudit(state, missing, len(program), 0, 0)
@@ -911,12 +849,12 @@ def plan_workload(
 
     Compilation goes through the program cache (structure-only key), so a
     batch sharing a network compiles it exactly once in the main process.
-    Every block is then resolved through both cache levels; only genuinely
+    Every block is then resolved through its layer key; only genuinely
     missing blocks are scheduled for remote simulation.  ``claimed`` tracks
-    block keys already scheduled by earlier workloads of the same batch —
-    duplicates are deferred to compose time instead of being simulated
-    twice, which keeps the reported stage statistics identical to a serial
-    run.
+    layer keys already scheduled by earlier workloads of the same batch (or
+    earlier blocks of this one) — duplicates are deferred to compose time
+    instead of being simulated twice, which keeps the reported stage
+    statistics identical to a serial run.
     """
     if workload.platform != "bitfusion":
         return WorkPlan(
@@ -932,25 +870,18 @@ def plan_workload(
     simulate: list[int] = []
     deferred: list[int] = []
     for index, compiled in enumerate(program):
-        value, level, source = lookup_block(compiled, workload.config, cache)
+        value, source = lookup_block(compiled, workload.config, cache)
         if value is not None:
-            (stats.blocks if level == "block" else stats.layers).record_hit(source)
+            stats.blocks.record_hit(source)
             stats.workers.reused_blocks += 1
             cached[index] = value
             continue
-        block_key = block_cache_key(compiled.fingerprint(), workload.config)
-        layer_key = layer_cache_key(compiled, workload.config)
-        # Claim both cache levels: a block whose *layer content* an earlier
-        # in-batch block already claimed would be served by the layer-level
-        # fallback serially, so the parallel path must defer it too rather
-        # than re-simulate identical content under a different name.
-        if block_key in claimed or layer_key in claimed:
+        key = layer_cache_key(compiled, workload.config)
+        if key in claimed:
             deferred.append(index)
             continue
-        claimed.add(block_key)
-        claimed.add(layer_key)
+        claimed.add(key)
         stats.blocks.record_miss()
-        stats.layers.record_miss()
         simulate.append(index)
     return WorkPlan(
         workload=workload,
@@ -969,7 +900,7 @@ def compose_plan(
 ) -> NetworkResult:
     """Assemble a planned workload's result from cached + worker-simulated blocks.
 
-    Fresh worker results are stored under both cache levels as they are
+    Fresh worker results are stored under their layer keys as they are
     composed — inside one :meth:`ResultCache.batch` scope, so a plan's
     store-backs land as a single group-committed segment append instead of
     one write per artifact.  Deferred blocks (claimed by an earlier
@@ -991,14 +922,13 @@ def compose_plan(
                 store_block_result(cache, workload, compiled, layer)
                 layers.append(layer)
                 continue
-            value, level, source = lookup_block(compiled, workload.config, cache)
+            value, source = lookup_block(compiled, workload.config, cache)
             if value is not None:
-                (stats.blocks if level == "block" else stats.layers).record_hit(source)
+                stats.blocks.record_hit(source)
                 stats.workers.reused_blocks += 1
                 layers.append(value)
                 continue
             stats.blocks.record_miss()
-            stats.layers.record_miss()
             layer = simulator_for(workload.config).run_block(compiled)
             store_block_result(cache, workload, compiled, layer)
             layers.append(layer)

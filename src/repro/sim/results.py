@@ -13,9 +13,9 @@ and energy ratios uniformly:
 Both records are frozen and serialize losslessly to JSON (ints, floats and
 strings only), which is what lets the evaluation session cache them:
 ``LayerResult`` is the per-block artifact of the simulate stage, keyed by
-block fingerprint plus the simulation-affecting configuration (see
-:func:`repro.session.engine.block_cache_key`), and a cached record read
-back from disk is bit-identical to the freshly simulated one.  A cached
+the name-free layer fingerprint plus the simulation-affecting configuration
+(see :func:`repro.session.engine.layer_cache_key`), and a cached record
+read back from disk is bit-identical to the freshly simulated one.  A cached
 layer result is invalidated only by its key changing — there is no epoch
 or timestamp scheme; if the block content or any simulation-affecting
 parameter changes, the old entry is simply never looked up again.
@@ -157,6 +157,18 @@ class LayerResult:
     @property
     def is_memory_bound(self) -> bool:
         return self.memory_cycles > self.compute_cycles
+
+    def renamed(self, name: str) -> "LayerResult":
+        """This result under another layer / block name.
+
+        Every cache hit is renamed to the block that asked for it, so this
+        skips ``dataclasses.replace``'s re-validation: only the name
+        changes, and every other field was validated when ``self`` was
+        built.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, name=name)
+        return clone
 
 
 @dataclass(frozen=True)

@@ -85,3 +85,13 @@ class TestCommandLine:
         assert target.exists()
         assert "Table II" in target.read_text()
         assert "wrote report" in capsys.readouterr().out
+
+    def test_unknown_experiment_is_a_clean_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--experiments", "nosuch"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment(s) 'nosuch'" in err
+        assert "Traceback" not in err
+        for spec in EXPERIMENTS:
+            assert spec.key in err

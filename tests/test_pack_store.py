@@ -27,6 +27,8 @@ from repro.session import (
     ResultCache,
     SegmentedStore,
     Workload,
+    compile_program,
+    layer_cache_key,
     migrate_json_dir,
 )
 from repro.session.cache import ProgramStats, network_result_to_dict
@@ -449,31 +451,29 @@ class TestCrossFormatByteIdentity:
         migrated_warm = warm_run(ResultCache(json_dir))
         assert migrated_warm == json_warm
 
-    def test_layer_fallback_works_when_pack_block_entries_are_discarded(self, tmp_path):
-        # Pack-store twin of the json deleted-entries test: drop every
-        # block-keyed record; the content-addressed layer level serves the
-        # rerun with zero re-simulation, byte-identical.
+    def test_discarded_pack_block_record_is_resimulated_and_rewritten(self, tmp_path):
+        # Pack-store twin of the corrupted json entry test: drop one block's
+        # layer record; the rerun simulates exactly that block again,
+        # byte-identical, and stores it back.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache=ResultCache(tmp_path, layout="pack")) as first:
             fresh = first.run(workload)
+        program = compile_program(workload)
+        dropped = layer_cache_key(program[0], workload.config)
         store = SegmentedStore(tmp_path)
-        dropped = 0
-        for key in list(store.keys()):
-            if store.kind(key) == "layer_result":
-                store.discard(key)
-                dropped += 1
-        assert dropped > 0
+        assert store.kind(dropped) == "layer"
+        store.discard(dropped)
         store.compact(aggressive=True)
         store.flush()
         store.close()
         (tmp_path / "manifest.json").unlink()  # force rebuild from the store
         with EvaluationSession(cache=ResultCache(tmp_path, layout="pack")) as second:
             restored = second.run(workload)
-        assert second.stats.unique_executions == 0
-        assert second.stats.blocks.hits == 0
-        assert second.stats.blocks.misses == 0
-        assert second.stats.layers.hits == dropped
+        assert second.stats.unique_executions == 1
+        assert second.stats.blocks.misses == 1
+        assert second.stats.blocks.hits == len(program) - 1
         assert network_result_to_dict(restored) == network_result_to_dict(fresh)
+        assert dropped in ResultCache(tmp_path, layout="pack").disk_keys()
 
 
 _WRITER_SCRIPT = """

@@ -130,8 +130,8 @@ class TestPartiallyWarmParallel:
 
     def test_in_batch_identical_layer_content_defers_not_resimulates(self):
         # Two blocks with identical layer *content* but different names
-        # (different block keys, same layer key) must simulate once in a
-        # parallel batch, exactly as the serial layer-level fallback would.
+        # (one layer key) must simulate once in a parallel batch, exactly
+        # as they do serially.
         from dataclasses import replace as dc_replace
 
         from repro.isa.block import InstructionBlock
@@ -165,9 +165,10 @@ class TestPartiallyWarmParallel:
 
         assert _dicts(parallel_results) == _dicts(serial_results)
         for session in (serial_session, parallel_session):
-            # The twin was served by layer-level dedupe, never simulated.
+            # The twin shares the original's layer key: served from the
+            # cache, never simulated.
             assert session.stats.blocks.misses == 1 + len(compile_program(filler))
-            assert session.stats.layers.hits == 1
+            assert session.stats.blocks.hits == 1
         assert (
             parallel_session.stats.workers.remote_blocks
             == parallel_session.stats.blocks.misses

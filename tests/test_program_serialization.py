@@ -176,10 +176,8 @@ class TestStagedPipelineEquivalence:
             second.cache.clear_memory()
             for path in tmp_path.glob("*.json"):
                 entry = path.read_text(encoding="utf-8")
-                # Drop both cache levels of the simulated-block records (the
-                # content-addressed layer entries would otherwise serve the
-                # blocks right back through the fallback).
-                if '"kind": "layer_result"' in entry or '"kind": "layer"' in entry:
+                # Drop the simulated-block records.
+                if '"kind": "layer"' in entry:
                     path.unlink()
             restored = second.run(workload)
         assert second.stats.programs.hits == 1

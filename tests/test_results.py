@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.energy.breakdown import EnergyBreakdown
@@ -72,6 +74,13 @@ class TestLayerResult:
         with pytest.raises(ValueError):
             LayerResult(name="x", macs=0, input_bits=4, weight_bits=4,
                         compute_cycles=0, memory_cycles=0, utilization=1.5)
+
+    def test_renamed_changes_only_the_name(self):
+        layer = _layer(name="conv1")
+        renamed = layer.renamed("other")
+        assert renamed == replace(layer, name="other")
+        assert hash(renamed) == hash(replace(layer, name="other"))
+        assert layer.name == "conv1"
 
 
 class TestNetworkResult:

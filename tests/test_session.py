@@ -23,16 +23,18 @@ import pytest
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.harness.runner import build_report, run_experiments
+from repro.isa.compiler import FusionCompiler
 from repro.session import (
     EvaluationSession,
     ResultCache,
     Workload,
-    block_cache_key,
     compile_program,
     execute_workload,
     fixed_bitwidth_network,
     layer_cache_key,
     load_network,
+    program_cache_key,
+    tiling_cache_key,
 )
 from repro.session.cache import network_result_from_dict, network_result_to_dict
 
@@ -88,6 +90,32 @@ class TestFingerprints:
             != Workload.bitfusion("LeNet-5", enable_layer_fusion=False).fingerprint()
         )
         assert base.fingerprint() != Workload.bitfusion("LeNet-5", fixed_bits=8).fingerprint()
+
+    def test_artifact_cache_keys_are_pinned(self):
+        # Every cache directory on disk is addressed by these digests: a
+        # change that moves them silently leaves all existing caches cold,
+        # so it must fail here and come with a deliberate manifest bump.
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        program = compile_program(workload)
+        compiler = FusionCompiler(workload.config)
+        requests = compiler.tiling_requests(load_network(workload), batch_size=4)
+        assert program_cache_key(workload) == (
+            "5d716d4d5b87c36e2c49410301e4825b2e748d024d4468e64fc628db5f6a076d"
+        )
+        assert [layer_cache_key(compiled, workload.config) for compiled in program] == [
+            "651def6bbb869805fdbd8b80a458e9514a231110cbfdffbf0b1beec77c574aac",
+            "f97eb1dc3ad7022510ccb5e8e4261833cc58c7c9dffdc75ab4d395d193e45694",
+            "9d2b5c94d182f8988b904c040e7c8b112aa0ce670934134cb4f40c71b834f19b",
+            "86149ecd5d3aa1a1b91000e3e5f455b9fb5c9969084786c8b579a8c3760613f5",
+        ]
+        assert [
+            tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests
+        ] == [
+            "59e9bc1308003f48d6bf8a1c2597bd6f019a7489aba88b829c25cd3602ba14e9",
+            "eddf75a8522258ec1bf354a2a6d9b8d1f50c3ea4078ba04fd9e2de442632e007",
+            "3259b01253b2eebe73d438b4aa7027315cf0c3c633963583e7aac2be6b883f7b",
+            "bfc4f3a341c8d05ab9441993ab7b3631f27d33d450fa8fc4bc01fb0856caca82",
+        ]
 
     def test_variant_and_platform_distinguish_workloads(self):
         fingerprints = {
@@ -166,13 +194,9 @@ class TestResultCache:
         with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
             fresh = first.run(workload)
         program = compile_program(workload)
-        # Corrupt both cache levels of block 0 (block-keyed and
-        # content-addressed layer entry) so nothing can serve it back.
-        for key in (
-            block_cache_key(program[0].fingerprint(), workload.config),
-            layer_cache_key(program[0], workload.config),
-        ):
-            (tmp_path / f"{key}.json").write_text("not json", encoding="utf-8")
+        # Corrupt block 0's one content-addressed entry.
+        corrupted = layer_cache_key(program[0], workload.config)
+        (tmp_path / f"{corrupted}.json").write_text("not json", encoding="utf-8")
         with EvaluationSession(cache_dir=tmp_path) as second:
             recovered = second.run(workload)
         assert second.stats.misses == 1
@@ -188,24 +212,6 @@ class TestResultCache:
             third.run(workload)
             assert third.stats.disk_hits == 1
             assert third.stats.unique_executions == 0
-
-    def test_corrupted_block_entry_is_served_by_the_layer_level(self, tmp_path):
-        # When only the block-keyed entry is corrupt, the content-addressed
-        # layer entry steps in: no re-simulation, byte-identical result.
-        # Json layout: the corruption is injected per entry file.
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
-            fresh = first.run(workload)
-        program = compile_program(workload)
-        corrupted = block_cache_key(program[0].fingerprint(), workload.config)
-        (tmp_path / f"{corrupted}.json").write_text("not json", encoding="utf-8")
-        with EvaluationSession(cache_dir=tmp_path) as second:
-            recovered = second.run(workload)
-        assert second.stats.unique_executions == 0
-        assert second.stats.blocks.misses == 0
-        assert second.stats.layers.hits == 1
-        assert second.stats.blocks.hits == len(program) - 1
-        assert network_result_to_dict(recovered) == network_result_to_dict(fresh)
 
     def test_corrupted_manifest_is_rebuilt_not_fatal(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
