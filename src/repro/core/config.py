@@ -21,9 +21,9 @@ paper configurations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import field_dict, fingerprint_payload
 
 __all__ = ["TechnologyNode", "BitFusionConfig"]
 
@@ -264,7 +264,7 @@ class BitFusionConfig:
         any process on any platform, which is what lets the evaluation
         session key its result cache on (config, network, batch) workloads.
         """
-        return fingerprint_payload({"type": type(self).__name__, **asdict(self)})
+        return fingerprint_payload({"type": type(self).__name__, **field_dict(self)})
 
     def with_bandwidth(self, bits_per_cycle: int) -> "BitFusionConfig":
         """Copy of this configuration with a different off-chip bandwidth."""

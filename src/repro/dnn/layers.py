@@ -22,7 +22,9 @@ The layer classes expose
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+
+from repro.fingerprint import field_dict
 
 __all__ = [
     "GemmShape",
@@ -375,7 +377,7 @@ def layer_to_dict(layer: Layer) -> dict[str, object]:
     This is what lets compiled :class:`~repro.isa.program.Program` artifacts
     (which embed the layer each block implements) persist across processes.
     """
-    return {"type": type(layer).__name__, **asdict(layer)}
+    return {"type": type(layer).__name__, **field_dict(layer)}
 
 
 def layer_from_dict(payload: dict[str, object]) -> Layer:

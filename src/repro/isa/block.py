@@ -83,7 +83,21 @@ class InstructionBlock:
             raise ValueError("instruction block name must be non-empty")
         self.name = name
         self._instructions = tuple(instructions)
+        self._image: str | None = None
         self._validate()
+
+    def renamed(self, name: str) -> "InstructionBlock":
+        """This block under another name, sharing instructions and image.
+
+        The compiler's emission memo hands one emitted block to every layer
+        with the same content, so this skips re-validation: only the name
+        changes, and the instructions were validated when ``self`` was built.
+        """
+        if not name:
+            raise ValueError("instruction block name must be non-empty")
+        clone = object.__new__(InstructionBlock)
+        clone.__dict__.update(self.__dict__, name=name)
+        return clone
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -195,7 +209,17 @@ class InstructionBlock:
         kind exactly (see :mod:`repro.isa.encoding`), so rebuilding through
         :meth:`from_dict` yields an equal instruction sequence.
         """
-        return {"name": self.name, "image": encode_block_hex(list(self._instructions))}
+        return {"name": self.name, "image": self.hex_image()}
+
+    def hex_image(self) -> str:
+        """Hex string of :meth:`encode`, memoized on the instance.
+
+        Blocks are immutable, and the image feeds the block's serialized
+        payload and both of its content fingerprints, so it is encoded once.
+        """
+        if self._image is None:
+            self._image = encode_block_hex(list(self._instructions))
+        return self._image
 
     @classmethod
     def from_dict(cls, payload: dict[str, str]) -> "InstructionBlock":

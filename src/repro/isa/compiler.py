@@ -26,7 +26,7 @@ layers, consistent with the paper's reported 30-86 instructions per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.config import BitFusionConfig
 from repro.dnn.layers import (
@@ -39,6 +39,7 @@ from repro.dnn.layers import (
     RNNLayer,
 )
 from repro.dnn.network import Network
+from repro.fingerprint import field_names
 from repro.isa.block import InstructionBlock
 from repro.isa.instructions import (
     BlockEnd,
@@ -59,7 +60,13 @@ from repro.isa.optimizations import choose_loop_order, choose_loop_order_scalar,
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan
 
-__all__ = ["FusionCompiler", "PlanResolver", "compile_layer", "compile_network"]
+__all__ = [
+    "FusionCompiler",
+    "PlanResolver",
+    "clear_emission_memo",
+    "compile_layer",
+    "compile_network",
+]
 
 #: Hook the evaluation session uses to memoize tiling searches across
 #: compilations: ``(gemm, orders, compute)`` where ``compute`` runs the
@@ -89,6 +96,48 @@ _LOOP_CHANNEL = 14
 
 #: First loop identifier available to fused pooling/activation followers.
 _LOOP_FUSED_BASE = 24
+
+
+#: Process-wide emission memo: name-free block content -> the first block
+#: emitted for it.  Emission is a pure function of the key (see
+#: :func:`_emission_key`), so every later request is served by renaming.
+_EMISSIONS: dict[tuple[Any, ...], CompiledBlock] = {}
+
+
+def clear_emission_memo() -> None:
+    """Forget every memoized block, so the next compilation emits afresh."""
+    _EMISSIONS.clear()
+
+
+def _layer_content(layer: Layer) -> tuple[Any, ...]:
+    """A layer's identity minus its name: class, field values and their types.
+
+    Value types are part of it because the layer fingerprint serializes them
+    (``2`` and ``2.0`` are equal in Python but not in JSON).
+    """
+    cls = type(layer)
+    values = tuple(getattr(layer, name) for name in field_names(cls) if name != "name")
+    return (cls, values, tuple(map(type, values)))
+
+
+def _emission_key(
+    layer: Layer,
+    fused: tuple[Layer, ...],
+    tiling: TilingPlan,
+    fused_output_words: int | None,
+) -> tuple[Any, ...]:
+    """Memo key of one block: everything ``_emit_*`` and the block read.
+
+    The head layer's and followers' content, the final tiling plan (which
+    already folds in the batch size and the fused output store) and the
+    fused output words.  Names are excluded: they only label the block.
+    """
+    return (
+        _layer_content(layer),
+        tuple(_layer_content(follower) for follower in fused),
+        tiling,
+        fused_output_words,
+    )
 
 
 def _clamp_iterations(value: int) -> int:
@@ -503,6 +552,12 @@ class FusionCompiler:
             tiling = tiling.with_output_store_bits(stored_elements * final.output_bits)
             fused_output_words = max(1, stored_elements // max(1, tiling.tile_count))
 
+        name = layer.name if not fused else f"{layer.name}+{'+'.join(l.name for l in fused)}"
+        key = _emission_key(layer, fused, tiling, fused_output_words)
+        emitted = _EMISSIONS.get(key)
+        if emitted is not None:
+            return emitted.renamed(name, layer, fused)
+
         instructions: list[Instruction] = [
             Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits)
         ]
@@ -511,14 +566,15 @@ class FusionCompiler:
         instructions.extend(self._emit_fused_followers(fused))
         instructions.append(BlockEnd(next_block=0))
 
-        name = layer.name if not fused else f"{layer.name}+{'+'.join(l.name for l in fused)}"
-        return CompiledBlock(
+        compiled = CompiledBlock(
             block=InstructionBlock(name, instructions),
             layer=layer,
             tiling=tiling,
             loop_order=tiling.loop_order,
             fused_layers=fused,
         )
+        _EMISSIONS[key] = compiled
+        return compiled
 
     def compile_auxiliary_layer(
         self, layer: Layer, batch_size: int | None = None
@@ -538,6 +594,10 @@ class FusionCompiler:
         tiling = tiling.with_output_store_bits(
             layer.output_elements() * batch * layer.output_bits
         )
+        key = _emission_key(layer, (), tiling, None)
+        emitted = _EMISSIONS.get(key)
+        if emitted is not None:
+            return emitted.renamed(layer.name, layer, ())
 
         if isinstance(layer, PoolLayer):
             inner_fn = ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD
@@ -572,13 +632,15 @@ class FusionCompiler:
             ),
             BlockEnd(next_block=0),
         ]
-        return CompiledBlock(
+        compiled = CompiledBlock(
             block=InstructionBlock(layer.name, instructions),
             layer=layer,
             tiling=tiling,
             loop_order=LoopOrder.OUTPUT_STATIONARY,
             fused_layers=(),
         )
+        _EMISSIONS[key] = compiled
+        return compiled
 
     # ------------------------------------------------------------------ #
     # Network compilation

@@ -63,6 +63,26 @@ class CompiledBlock:
     def is_fused(self) -> bool:
         return bool(self.fused_layers)
 
+    def renamed(
+        self, name: str, layer: Layer, fused_layers: tuple[Layer, ...]
+    ) -> "CompiledBlock":
+        """This block for other, content-equal layers under another name.
+
+        ``layer`` and ``fused_layers`` must equal this block's layers in
+        everything but their names; the compiler's emission memo guarantees
+        it.  Like :meth:`InstructionBlock.renamed` this skips validation.
+        The clone shares the instructions, the encoded image and every memo
+        but the named :meth:`fingerprint`: the others (the
+        :meth:`layer_fingerprint` and the session's layer cache key) never
+        see a name.
+        """
+        clone = object.__new__(CompiledBlock)
+        clone.__dict__.update(
+            self.__dict__, block=self.block.renamed(name), layer=layer, fused_layers=fused_layers
+        )
+        clone.__dict__.pop("_fingerprint", None)
+        return clone
+
     # ------------------------------------------------------------------ #
     # Serialization and fingerprinting
     # ------------------------------------------------------------------ #
@@ -117,7 +137,7 @@ class CompiledBlock:
             return {k: v for k, v in layer_to_dict(layer).items() if k != "name"}
 
         return {
-            "image": self.block.to_dict()["image"],
+            "image": self.block.hex_image(),
             "layer": _nameless(self.layer),
             "tiling": self.tiling.fingerprint(),
             "loop_order": self.loop_order.value,

@@ -36,13 +36,13 @@ overflow 64-bit traffic arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 
 from repro.core.config import BitFusionConfig
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import field_dict, fingerprint_payload
 from repro.isa.instructions import LoopOrder
 
 __all__ = [
@@ -92,7 +92,7 @@ class GemmWorkload:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-compatible payload (every field is an int)."""
-        return asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, int]) -> "GemmWorkload":

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
@@ -60,7 +60,7 @@ from repro.baselines.stripes import StripesModel
 from repro.baselines.temporal import TemporalAcceleratorModel
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import field_dict, fingerprint_payload
 from repro.isa.compiler import FusionCompiler, PlanResolver
 from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock, Program
@@ -253,20 +253,22 @@ def program_content_key(
     session runs: a zoo network keyed here and keyed through a workload
     lands on the same entry by construction.
     """
+    return _program_content_key(
+        network_fingerprint, batch_size, config.ibuf_kb, config.wbuf_kb, config.obuf_kb,
+        enable_loop_ordering, enable_layer_fusion,
+    )
+
+
+# typed: 32 and 32.0 (or 1 and True) are one untyped memo key but two payloads.
+@lru_cache(maxsize=None, typed=True)
+def _program_content_key(network, batch_size, ibuf_kb, wbuf_kb, obuf_kb, ordering, fusion) -> str:
     return fingerprint_payload(
         {
             "artifact": "program",
-            "network": network_fingerprint,
+            "network": network,
             "batch_size": batch_size,
-            "buffers": {
-                "ibuf_kb": config.ibuf_kb,
-                "wbuf_kb": config.wbuf_kb,
-                "obuf_kb": config.obuf_kb,
-            },
-            "compiler": {
-                "enable_loop_ordering": enable_loop_ordering,
-                "enable_layer_fusion": enable_layer_fusion,
-            },
+            "buffers": {"ibuf_kb": ibuf_kb, "wbuf_kb": wbuf_kb, "obuf_kb": obuf_kb},
+            "compiler": {"enable_loop_ordering": ordering, "enable_layer_fusion": fusion},
         }
     )
 
@@ -361,8 +363,8 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
     only) and the batch size (already folded into the block's tiling).
 
     Memoized per configuration (``BitFusionConfig`` is frozen, hence
-    hashable): the payload rides every layer cache key, once per block per
-    lookup.  Callers never mutate the returned dict — it feeds straight
+    hashable): the payload rides the layer cache key of every block keyed
+    under it.  Callers never mutate the returned dict — it feeds straight
     into :func:`~repro.fingerprint.fingerprint_payload`.
     """
     return {
@@ -373,19 +375,8 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
         "obuf_kb": config.obuf_kb,
         "dram_bandwidth_bits_per_cycle": config.dram_bandwidth_bits_per_cycle,
         "buffer_access_bits": config.buffer_access_bits,
-        "technology": asdict(config.technology),
+        "technology": field_dict(config.technology),
     }
-
-
-@lru_cache(maxsize=None)
-def _layer_content_key(layer_fingerprint: str, config: BitFusionConfig) -> str:
-    return fingerprint_payload(
-        {
-            "artifact": "layer",
-            "layer": layer_fingerprint,
-            "sim": _sim_config_payload(config),
-        }
-    )
 
 
 def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
@@ -397,11 +388,18 @@ def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
     image) pairs collapse onto one key no matter which network — or which
     layer name within a network — produced them, which dedupes simulations
     across the model-family sweeps the paper's benchmark suite is full of.
-    Memoized: the NAS estimator's warm path (:mod:`repro.nas`) resolves
-    every block of every candidate through this key, and the layer
-    fingerprint is itself memoized on the block instance.
+    Memoized on the block, for the configuration object it was last keyed
+    under (compared by identity, so a hit never hashes the configuration):
+    the NAS estimator's warm path (:mod:`repro.nas`) resolves every block
+    of every candidate through this key.  The memo holds the configuration
+    itself, never a ``hash()`` value, so it stays valid across pickling.
     """
-    return _layer_content_key(compiled.layer_fingerprint(), config)
+    memo = compiled.__dict__.get("_layer_key")
+    if memo is None or memo[0] is not config:
+        layer, sim = compiled.layer_fingerprint(), _sim_config_payload(config)
+        memo = (config, fingerprint_payload({"artifact": "layer", "layer": layer, "sim": sim}))
+        object.__setattr__(compiled, "_layer_key", memo)
+    return memo[1]
 
 
 def lookup_block(
@@ -500,10 +498,9 @@ def try_compose_from_cache(
             return None, False
         found.append((value, source))
     stats.programs.record_hit(program_source)
-    from_disk = program_source == "disk"
     for _, source in found:
         stats.blocks.record_hit(source)
-        from_disk = from_disk or source == "disk"
+    from_disk = "disk" in (program_source, *(source for _, source in found))
     return _compose(workload, program, [layer for layer, _ in found]), from_disk
 
 
@@ -538,12 +535,8 @@ def _audit_tilings(workload: Workload, cache: ResultCache) -> tuple[int, int]:
     requests = compiler.tiling_requests(
         load_network(workload), batch_size=workload.batch_size
     )
-    cached = sum(
-        1
-        for gemm, orders in requests
-        if tiling_cache_key(gemm, orders, workload.config) in cache
-    )
-    return cached, len(requests)
+    keys = [tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests]
+    return sum(key in cache for key in keys), len(keys)
 
 
 def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:

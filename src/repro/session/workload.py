@@ -14,10 +14,10 @@ process pool can ship them to worker processes unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from typing import Any
 
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import field_dict, fingerprint_payload
 
 from repro.baselines.eyeriss import EyerissConfig
 from repro.baselines.gpu import GpuPrecision, GpuSpec
@@ -37,14 +37,6 @@ __all__ = [
 
 #: Platform identifiers the session knows how to build models for.
 PLATFORMS = ("bitfusion", "eyeriss", "stripes", "gpu", "temporal")
-
-#: Memoized network-structure digests keyed by (canonical name, variant,
-#: fixed_bits).  The model zoo is static at runtime, so rebuilding and
-#: re-hashing the same network for every cache lookup would be pure waste.
-_NETWORK_DIGESTS: dict[tuple[str, str, int | None], str] = {}
-
-#: Memoized per-sample MAC counts, same key, for job-size estimation.
-_NETWORK_MACS: dict[tuple[str, str, int | None], int] = {}
 
 
 def fixed_bitwidth_network(network: Network, bits: int = 8) -> Network:
@@ -228,7 +220,7 @@ class Workload:
         if self.config is None:
             return None
         if is_dataclass(self.config):
-            return {"type": type(self.config).__name__, **asdict(self.config)}
+            return {"type": type(self.config).__name__, **field_dict(self.config)}
         raise TypeError(
             f"workload config must be a dataclass, got {type(self.config).__name__}"
         )
@@ -239,7 +231,11 @@ class Workload:
         Includes the *structure* of the resolved network (via
         :meth:`repro.dnn.network.Network.fingerprint`), so a change to the
         model zoo invalidates cached results for the affected benchmark.
+        Memoized on the (frozen) instance, outside the dataclass fields.
         """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is not None:
+            return cached
         payload: dict[str, Any] = {
             "platform": self.platform,
             "network": self.network,
@@ -255,7 +251,9 @@ class Workload:
                 "enable_loop_ordering": self.enable_loop_ordering,
                 "enable_layer_fusion": self.enable_layer_fusion,
             }
-        return fingerprint_payload(payload)
+        cached = fingerprint_payload(payload)
+        object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     def label(self) -> str:
         """Compact one-line description for logs and error messages.
@@ -303,16 +301,28 @@ def load_network(workload: Workload) -> Network:
     return network
 
 
+#: Memoized (structure digest, per-sample MAC count) of each resolved
+#: network, keyed by (canonical name, variant, fixed_bits).  The model zoo
+#: is static at runtime, so rebuilding and re-hashing the same network for
+#: every cache lookup would be pure waste.
+_NETWORK_FACTS: dict[tuple[str, str, int | None], tuple[str, int]] = {}
+
+
+def _network_facts(workload: Workload) -> tuple[str, int]:
+    key = (workload.network, workload.variant, workload.fixed_bits)
+    if key not in _NETWORK_FACTS:
+        network = load_network(workload)
+        _NETWORK_FACTS[key] = (network.fingerprint(), network.total_macs())
+    return _NETWORK_FACTS[key]
+
+
 def network_digest(workload: Workload) -> str:
     """Structure fingerprint of the network a workload resolves to (memoized).
 
     Both the workload fingerprint and the compile-stage cache key hash this
     digest, so they can never disagree about what "the same network" means.
     """
-    digest_key = (workload.network, workload.variant, workload.fixed_bits)
-    if digest_key not in _NETWORK_DIGESTS:
-        _NETWORK_DIGESTS[digest_key] = load_network(workload).fingerprint()
-    return _NETWORK_DIGESTS[digest_key]
+    return _network_facts(workload)[0]
 
 
 def estimated_cost(workload: Workload) -> int:
@@ -323,7 +333,4 @@ def estimated_cost(workload: Workload) -> int:
     workloads longest-job-first so a process pool is never left waiting on
     one giant network scheduled last (the classic long-tail of wide sweeps).
     """
-    macs_key = (workload.network, workload.variant, workload.fixed_bits)
-    if macs_key not in _NETWORK_MACS:
-        _NETWORK_MACS[macs_key] = load_network(workload).total_macs()
-    return _NETWORK_MACS[macs_key] * workload.batch_size
+    return _network_facts(workload)[1] * workload.batch_size

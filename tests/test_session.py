@@ -14,6 +14,7 @@ The acceptance properties the session layer guarantees:
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.harness.runner import build_report, run_experiments
 from repro.isa.compiler import FusionCompiler
+from repro.nas import mutate
 from repro.session import (
     EvaluationSession,
     ResultCache,
@@ -116,6 +118,23 @@ class TestFingerprints:
             "3259b01253b2eebe73d438b4aa7027315cf0c3c633963583e7aac2be6b883f7b",
             "bfc4f3a341c8d05ab9441993ab7b3631f27d33d450fa8fc4bc01fb0856caca82",
         ]
+
+    def test_content_fingerprints_are_pinned(self):
+        # Workload, config and network digests feed every artifact key
+        # above; pinning them separately names the layer that moved.
+        assert Workload.bitfusion("LeNet-5", batch_size=4).fingerprint() == (
+            "1aeea7501b0405b50744fa1d03a073738c44af7cec6443df3af8b0785269bc97"
+        )
+        assert BitFusionConfig.eyeriss_matched().fingerprint() == (
+            "ee390008a40e076bc592c9bdabd1c64b0aaf9177721a66eaac84b9adcdaf3ce3"
+        )
+        resnet = models.load("ResNet-18")
+        assert resnet.fingerprint() == (
+            "ebf77bf8a80062181e8f52f8fc027118926c0be8be27958f09e0aef249790e19"
+        )
+        assert mutate(resnet, random.Random(7)).fingerprint() == (
+            "6eea14af4eb65c3d20fe2be5e46fb5ea3ccf7ce3157f371fb6137493eb39279b"
+        )
 
     def test_variant_and_platform_distinguish_workloads(self):
         fingerprints = {
