@@ -28,11 +28,9 @@ trajectory point as JSON (``.bench_build/BENCH_9.json`` by default):
   in-thread TCP worker daemon on localhost, with the coordinator-side
   dispatch (serialize + submit) cost reported per work unit, so the remote
   backend's wire-protocol overhead stays tracked;
-* **cache I/O** — persisting and bulk-reading a thousand-plus artifact
-  entries through the legacy one-file-per-entry JSON layout vs the
-  segmented pack store's batched group commits and ``get_many`` (the
-  speedups are machine-independent ratios and the repo's acceptance bar
-  is >= 5x on batched persists);
+* **cache I/O** — persisting a thousand-plus artifact entries through the
+  segmented pack store's batched group commits, and reading them back
+  with per-key gets through a fresh cache;
 * **sweep grid expansion** — ``SweepSpec.expand`` on a few-hundred-point
   spec;
 * **Pareto reduction** — the sort-based frontier on synthetic points;
@@ -332,17 +330,13 @@ def bench_run_many_remote(repeats: int) -> dict:
 
 
 def bench_cache_io(repeats: int) -> dict:
-    """Artifact persistence and bulk reads: JSON dir vs segmented store.
+    """Artifact persistence and reads through the segmented pack store.
 
     Persisting measures what ``run_many`` and the NAS store-back actually
-    pay per artifact batch: the legacy layout writes (and fsync-queues) one
-    file per entry, the pack store group-commits the whole batch as a
-    single segment append.  Reading compares a per-key ``get`` loop over
-    the JSON dir with one ``get_many`` index pass over the pack store —
-    both through a fresh ``ResultCache`` so the open cost (manifest load,
-    index build) is included, exactly as a warm run or remote worker
-    sees it.  The speedups are machine-independent ratios; the repo's
-    acceptance bar is >= 5x for batched persists at >= 1000 entries.
+    pay per artifact batch: the pack store group-commits the whole batch
+    as a single segment append.  Reading is a per-key ``get`` loop through
+    a fresh ``ResultCache``, so the open cost (manifest load, index build)
+    is included, exactly as a warm run or remote worker sees it.
     """
     entries = 1200
     items = [
@@ -363,56 +357,37 @@ def bench_cache_io(repeats: int) -> dict:
         root = Path(base)
         fresh = itertools.count()
 
-        def json_put() -> None:
-            cache = ResultCache(root / f"json-{next(fresh)}", layout="json")
-            for key, value in items:
-                cache.put(key, value)
-            cache.flush()
-            cache.close()
-
         def pack_put() -> None:
-            cache = ResultCache(root / f"pack-{next(fresh)}", layout="pack")
+            cache = ResultCache(root / f"pack-{next(fresh)}")
             with cache.batch():
                 for key, value in items:
                     cache.put(key, value)
             cache.flush()
             cache.close()
 
-        json_put_s = _best_of(repeats, json_put)
         pack_put_s = _best_of(repeats, pack_put)
 
-        json_dir, pack_dir = root / "json-read", root / "pack-read"
-        for directory, layout in ((json_dir, "json"), (pack_dir, "pack")):
-            seeder = ResultCache(directory, layout=layout)
-            with seeder.batch():
-                for key, value in items:
-                    seeder.put(key, value)
-            seeder.flush()
-            seeder.close()
+        pack_dir = root / "pack-read"
+        seeder = ResultCache(pack_dir)
+        with seeder.batch():
+            for key, value in items:
+                seeder.put(key, value)
+        seeder.flush()
+        seeder.close()
 
-        def json_get() -> None:
-            cache = ResultCache(json_dir, layout="json")
+        def pack_get() -> None:
+            cache = ResultCache(pack_dir)
             for key in keys:
                 assert cache.get(key) is not None
             cache.close()
 
-        def pack_get_many() -> None:
-            cache = ResultCache(pack_dir, layout="pack")
-            assert len(cache.get_many(keys)) == entries
-            cache.close()
-
-        json_get_s = _best_of(repeats, json_get)
-        pack_get_s = _best_of(repeats, pack_get_many)
+        pack_get_s = _best_of(repeats, pack_get)
 
     return {
         "cache_io_entries": entries,
-        "cache_put_json_s": json_put_s,
         "cache_put_pack_s": pack_put_s,
-        "cache_put_speedup": json_put_s / pack_put_s,
         "cache_put_pack_entries_per_s": entries / pack_put_s,
-        "cache_get_json_s": json_get_s,
         "cache_get_many_pack_s": pack_get_s,
-        "cache_get_speedup": json_get_s / pack_get_s,
         "cache_get_many_entries_per_s": entries / pack_get_s,
     }
 
@@ -623,10 +598,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"cache io over {metrics['cache_io_entries']} entries: "
-        f"batched pack persist {metrics['cache_put_pack_entries_per_s']:.0f} entries/s "
-        f"({metrics['cache_put_speedup']:.1f}x vs json files), "
-        f"get_many {metrics['cache_get_many_entries_per_s']:.0f} entries/s "
-        f"({metrics['cache_get_speedup']:.1f}x vs per-key json gets)"
+        f"batched pack persist {metrics['cache_put_pack_entries_per_s']:.0f} entries/s, "
+        f"per-key gets {metrics['cache_get_many_entries_per_s']:.0f} entries/s"
     )
     print(
         f"nas estimator: warm estimate {metrics['nas_warm_estimate_s'] * 1e6:.0f} us "

@@ -415,6 +415,9 @@ def build_sweep_report(
     owns_session = session is None
     checkpoint: SweepCheckpoint | None = None
     if session is None:
+        # The cache opens first: it is what rejects a --cache-dir that is
+        # not a directory, before the journal is created inside it.
+        cache = ResultCache(cache_dir, max_cache_bytes)
         if cache_dir is not None:
             checkpoint = SweepCheckpoint(Path(cache_dir) / SWEEP_CHECKPOINT_NAME)
             if not resume:
@@ -426,8 +429,7 @@ def build_sweep_report(
             )
         session = EvaluationSession(
             jobs=jobs if backend is None else 1,
-            cache_dir=cache_dir,
-            max_cache_bytes=max_cache_bytes,
+            cache=cache,
             checkpoint=checkpoint,
             backend=backend,
         )
@@ -865,7 +867,10 @@ def worker_main(argv: list[str] | None = None) -> int:
         parser.error(str(error))
     if args.fail_after is not None and args.fail_after < 0:
         parser.error(f"--fail-after must be >= 0, got {args.fail_after}")
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    try:
+        cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    except ValueError as error:
+        parser.error(str(error))
     server = WorkerServer(host, port, cache=cache, fail_after=args.fail_after)
     print(f"worker listening on {server.address}", flush=True)
     try:
@@ -939,9 +944,10 @@ def cache_main(argv: list[str] | None = None) -> int:
     """Entry point of the ``cache`` subcommand: store maintenance.
 
     ``cache migrate --cache-dir PATH`` converts a legacy JSON-per-entry
-    cache directory to the segmented pack-file layout in place (batched
-    group commits, then the per-entry files are deleted).  Idempotent: a
-    directory that is already segmented migrates zero entries.
+    cache directory to the segmented pack-file store in place (batched
+    group commits, then the per-entry files are deleted) — the cache reads
+    nothing else.  Idempotent: a directory that is already segmented
+    migrates zero entries.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness cache",
@@ -1023,8 +1029,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="persist compiled programs and per-block simulation results as "
-        "JSON under PATH and reuse them across report invocations",
+        help="persist compiled programs and per-block simulation results "
+        "under PATH and reuse them across report invocations",
     )
     parser.add_argument(
         "--cache-max-mb",
@@ -1093,15 +1099,19 @@ def main(argv: list[str] | None = None) -> int:
             benchmarks = tuple(models.canonical_name(name) for name in args.benchmarks)
         except KeyError as error:
             parser.error(str(error).strip('"'))
-    report = build_report(
-        keys=args.experiments,
-        benchmarks=benchmarks,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        max_cache_bytes=max_cache_bytes,
-        profile=args.profile,
-        backend=backend,
-    )
+    try:
+        session = EvaluationSession(
+            jobs=args.jobs if backend is None else 1,
+            cache_dir=args.cache_dir,
+            max_cache_bytes=max_cache_bytes,
+            backend=backend,
+        )
+    except ValueError as error:  # a --cache-dir that is not a directory
+        parser.error(str(error))
+    with session:
+        report = build_report(
+            keys=args.experiments, benchmarks=benchmarks, session=session, profile=args.profile
+        )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)

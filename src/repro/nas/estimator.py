@@ -53,7 +53,6 @@ from repro.session.engine import (
     layer_cache_key,
     lookup_block,
     make_plan_resolver,
-    prefetch_block_artifacts,
     program_content_key,
     simulate_planned_blocks,
     store_layer_record,
@@ -273,7 +272,6 @@ class Estimator:
 
     def _plan(self, network: Network, fingerprint: str, claimed: set[str]) -> _CandidatePlan:
         program = self._obtain_program(network, fingerprint)
-        prefetch_block_artifacts(program, self.config, self.cache)
         cached: dict[int, LayerResult] = {}
         simulate: list[int] = []
         deferred: list[int] = []

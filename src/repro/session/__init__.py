@@ -12,10 +12,10 @@ comparison routes through:
   layer content + simulation-affecting config).
 * :class:`~repro.session.cache.ResultCache` — fingerprint-keyed artifact
   store, in-memory with an optional manifest-indexed, LRU-bounded on-disk
-  layer (segmented pack-file store by default —
-  :class:`~repro.session.store.SegmentedStore`, group-committed appends,
-  eviction by segment compaction — with the legacy JSON-per-entry layout
-  served as a read-compatible fallback).
+  layer: one segmented pack-file store
+  (:class:`~repro.session.store.SegmentedStore`, group-committed appends,
+  eviction by segment compaction).  Legacy JSON-per-entry directories are
+  converted by :func:`~repro.session.store.migrate_json_dir`, not read.
 * :class:`~repro.session.session.EvaluationSession` — ``run`` /
   ``run_many`` (process-pool parallel, longest-job-first) / declarative
   ``sweep`` execution with per-stage cache-hit accounting.

@@ -144,7 +144,7 @@ class InlineBackend(ExecutionBackend):
             # No durability contract to honour between workloads, so the
             # whole batch — compile-stage artifacts and every composed
             # workload's store-backs — lands as one group commit (a single
-            # segment append + one index flush on pack-layout caches).
+            # segment append + one index flush on disk-backed caches).
             with session.cache.batch():
                 claimed: set[str] = set()
                 plans = [

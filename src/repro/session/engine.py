@@ -418,20 +418,6 @@ def lookup_block(
     return value.renamed(compiled.name), source
 
 
-def prefetch_block_artifacts(
-    program: Program, config: BitFusionConfig, cache: ResultCache
-) -> None:
-    """Bulk-stage a program's block records: one index pass.
-
-    Resolves every block's layer key through :meth:`ResultCache.prefetch`
-    — exactly the records the per-block :func:`lookup_block` loop that
-    follows would read one at a time.  A no-op on json and memory-only
-    caches, where there is no bulk read to exploit; lookup semantics and
-    statistics are identical either way.
-    """
-    cache.prefetch(layer_cache_key(compiled, config) for compiled in program)
-
-
 def store_layer_record(
     cache: ResultCache,
     config: BitFusionConfig,
@@ -490,7 +476,6 @@ def try_compose_from_cache(
     program, program_source = cache.get_with_source(program_cache_key(workload))
     if program is None:
         return None, False
-    prefetch_block_artifacts(program, workload.config, cache)
     found: list[tuple[LayerResult, str]] = []
     for compiled in program:
         value, source = lookup_block(compiled, workload.config, cache)
@@ -858,7 +843,6 @@ def plan_workload(
             deferred_indices=(),
         )
     program, _ = obtain_program(workload, cache, stats)
-    prefetch_block_artifacts(program, workload.config, cache)
     cached: dict[int, LayerResult] = {}
     simulate: list[int] = []
     deferred: list[int] = []

@@ -398,7 +398,7 @@ class WorkerServer:
     def _store(self, unit: WorkUnit, reply: WorkResult) -> None:
         """Store fresh layer records into the worker's (shared) cache.
 
-        One group commit per unit: on a pack-layout shared store the
+        One group commit per unit: on a shared cache directory the
         unit's records land as a single append to this worker's own
         segment (no locks against sibling workers or the coordinator —
         readers merge all segments at open), followed by one flush of the

@@ -154,11 +154,10 @@ class EvaluationSession:
         backend shares the same fault-tolerance and byte-identity
         contracts.
     cache_dir:
-        Optional directory for the persistent artifact store (segmented
-        pack-file layout by default; legacy JSON-per-entry directories are
-        served and migrated transparently — see
-        :mod:`repro.session.store`); ``None`` keeps the cache in memory
-        only.
+        Optional directory for the persistent artifact store (a segmented
+        pack-file store — see :mod:`repro.session.store`; legacy
+        JSON-per-entry directories must be converted with ``cache
+        migrate`` to be read); ``None`` keeps the cache in memory only.
     cache:
         Pre-built :class:`ResultCache` to share between sessions (mutually
         exclusive with ``cache_dir``).
@@ -336,7 +335,7 @@ class EvaluationSession:
                 if failures:
                     self._finish_failures(failures, resolved, on_result)
             finally:
-                # One manifest (and, pack layout, one segment-index) write
+                # One manifest (and one segment-index) write
                 # per executed batch, not one per artifact — and surviving
                 # artifacts are flushed even when a batch raises for a
                 # quarantined workload.

@@ -1,24 +1,22 @@
 """Segmented pack-file artifact store: append-only segments + index sidecars.
 
-The one-file-per-entry JSON layout (:mod:`repro.session.cache`) pays an
-``open`` + ``write`` + ``rename`` per artifact and a filesystem probe per
-lookup — fine for hundreds of entries, dominant at the 10⁵–10⁶ artifact
-counts sharded sweeps and NAS searches produce.  This module stores the
-same entries in a handful of **append-only pack segments** instead:
+This is the one on-disk format of :class:`repro.session.cache.ResultCache`.
+Instead of one file per artifact (an ``open`` + ``write`` + ``rename`` per
+entry and a filesystem probe per lookup — the retired legacy layout), the
+entries live in a handful of **append-only pack segments**:
 
 * **Record**: a 4-byte big-endian length prefix followed by one compact
   (``sort_keys``, no whitespace) UTF-8 JSON object ``{"key", "kind",
-  "payload", "workload"}`` — the exact entry shape of the JSON layout,
-  framed the same way the remote worker protocol frames its messages
-  (:mod:`repro.session.remote`), so a record is self-delimiting and a
-  truncated tail (a writer killed mid-append) is detected and dropped at
-  the next scan instead of poisoning the file.
+  "payload", "workload"}`` — the entry shape of the legacy per-file
+  layout plus its key, framed the way the remote worker protocol frames
+  its messages (:mod:`repro.session.remote`), so a record is
+  self-delimiting and a truncated tail (a writer killed mid-append) is
+  detected and dropped at the next scan instead of poisoning the file.
 * **Segment**: ``pack-<pid>-<nonce>.seg``, append-only, owned by exactly
   one writer process for its lifetime.  Writers never share a segment, so
   the data path needs no locks — the same per-writer-sibling design the
   sweep checkpoint journal proved out — and readers merge all segments at
-  open time.  The ``.seg`` suffix keeps segments invisible to the JSON
-  layout's ``*.json`` glob, so both layouts coexist in one directory.
+  open time.
 * **Index sidecar**: ``<segment>.idx``, a JSON map of key → (offset,
   length, kind) plus the segment size it describes.  Advisory: a missing
   or stale sidecar (size mismatch after a crash) degrades to one
@@ -30,11 +28,9 @@ same entries in a handful of **append-only pack segments** instead:
   on-disk size still matches what we scanned), its live records are
   rewritten into the current writer segment and the file is deleted.
 
-:class:`~repro.session.cache.ResultCache` drives this store when a cache
-directory uses the segmented layout and keeps the JSON-dir layout as a
-read-compatible fallback and correctness oracle; :func:`migrate_json_dir`
-converts an existing JSON-layout directory in place (``python -m
-repro.harness cache migrate``).
+Legacy per-entry ``<key>.json`` directories are not read by the cache;
+:func:`migrate_json_dir` converts one in place (``python -m repro.harness
+cache migrate``).
 """
 
 from __future__ import annotations
@@ -59,13 +55,13 @@ __all__ = [
 ]
 
 #: Segment files are ``pack-<pid>-<nonce>.seg``; the prefix + suffix pair is
-#: what layout auto-detection and the open-time merge glob for.
+#: what the open-time merge globs for.
 SEGMENT_SUFFIX = ".seg"
 _SEGMENT_GLOB = f"pack-*{SEGMENT_SUFFIX}"
 
 #: Per-segment index sidecar (``<segment>.idx``).  Deliberately *not* a
-#: ``.json`` name: the JSON entry layout globs ``*.json`` and must never
-#: pick a sidecar up as an entry.
+#: ``.json`` name: :func:`migrate_json_dir` globs ``*.json`` for legacy
+#: entries and must never pick a sidecar up as one.
 INDEX_SUFFIX = ".idx"
 
 #: Version of the record/sidecar format; bumped on incompatible changes
@@ -165,11 +161,17 @@ class SegmentedStore:
     # Open-time merge
     # ------------------------------------------------------------------ #
     def _load(self) -> None:
-        for path in sorted(self.directory.glob(_SEGMENT_GLOB)):
+        found: list[tuple[int, str, Path, int]] = []
+        for path in self.directory.glob(_SEGMENT_GLOB):
             try:
-                size = path.stat().st_size
+                stat = path.stat()
             except OSError:
                 continue  # compacted away by a concurrent evictor mid-scan
+            found.append((stat.st_mtime_ns, path.name, path, stat.st_size))
+        # Least recently written first, so when two segments hold a record
+        # for the same key the newer one wins (a recomputed entry replaces
+        # an unreadable one for every later reader, not just its writer).
+        for _, _, path, size in sorted(found):
             state = _Segment(size=size)
             self._segments[path.name] = state
             entries = self._read_sidecar(path, size)
@@ -317,21 +319,6 @@ class SegmentedStore:
             self._index.pop(key, None)
             self._retire(location)
         return record
-
-    def get_records(self, keys: Iterable[str]) -> dict[str, dict[str, Any]]:
-        """Bulk read: one index pass, reads grouped per segment in offset order."""
-        wanted: dict[str, list[tuple[int, str]]] = {}
-        for key in keys:
-            location = self._index.get(key)
-            if location is not None:
-                wanted.setdefault(location.segment, []).append((location.offset, key))
-        out: dict[str, dict[str, Any]] = {}
-        for segment in sorted(wanted):
-            for _, key in sorted(wanted[segment]):
-                record = self.get_record(key)
-                if record is not None:
-                    out[key] = record
-        return out
 
     # ------------------------------------------------------------------ #
     # Writes (this process's own segment only)
@@ -518,7 +505,7 @@ def migrate_json_dir(cache_dir: str | Path, batch: int = 512) -> tuple[int, int]
             if not isinstance(entry, dict) or "payload" not in entry:
                 continue
         except (OSError, ValueError):
-            continue  # corrupt entries are misses in both layouts; drop from migration
+            continue  # a corrupt entry was always a miss; leave it behind
         pending.append((path, path.stem, entry))
         if len(pending) >= batch:
             commit()

@@ -52,11 +52,10 @@ def _stats(tag: str) -> ProgramStats:
 
 
 def _live_keys(cache_dir) -> set[str]:
-    """Keys a fresh reader can resolve from disk — layout-independent.
+    """Keys a fresh reader can resolve from disk.
 
-    The pack layout has no per-entry files to glob, so eviction tests check
-    what a brand-new :class:`ResultCache` actually serves (store-index keys
-    plus any legacy per-entry files).
+    The pack store has no per-entry files to glob, so eviction tests check
+    what a brand-new :class:`ResultCache` actually serves (its store index).
     """
     return ResultCache(cache_dir).disk_keys()
 
@@ -315,21 +314,14 @@ class TestContentAddressedLayerLevel:
     def test_layer_entries_are_stored_name_free(self, tmp_path):
         # The stored layer-level payload must not depend on which network
         # (or layer name) wrote it first, or the dedupe would leak names.
-        # Checked against the raw stored record in both layouts.
+        # Checked against the raw stored record.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path / "json", layout="json")) as session:
+        with EvaluationSession(cache=ResultCache(tmp_path)) as session:
             session.run(workload)
-        compiled = compile_program(workload)[0]
-        key = layer_cache_key(compiled, workload.config)
-        entry = json.loads((tmp_path / "json" / f"{key}.json").read_text(encoding="utf-8"))
-        assert entry["kind"] == "layer"
-        assert entry["payload"]["name"] == ""
-
-        with EvaluationSession(cache=ResultCache(tmp_path / "pack", layout="pack")) as session:
-            session.run(workload)
+        key = layer_cache_key(compile_program(workload)[0], workload.config)
         from repro.session import SegmentedStore
 
-        record = SegmentedStore(tmp_path / "pack").get_record(key)
+        record = SegmentedStore(tmp_path).get_record(key)
         assert record is not None
         assert record["kind"] == "layer"
         assert record["payload"]["name"] == ""

@@ -95,3 +95,21 @@ class TestCommandLine:
         assert "Traceback" not in err
         for spec in EXPERIMENTS:
             assert spec.key in err
+
+    @pytest.mark.parametrize("command", ["report", "sweep", "worker"])
+    def test_cache_dir_that_is_a_file_is_a_clean_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "not-a-dir"
+        path.write_text("x", encoding="utf-8")
+        spec = tmp_path / "sweep.json"
+        spec.write_text('{"networks": ["LeNet-5"]}', encoding="utf-8")
+        argv = {
+            "report": ["--experiments", "tab02", "--benchmarks", "LeNet-5"],
+            "sweep": ["sweep", str(spec)],
+            "worker": ["worker"],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--cache-dir", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cache directory {str(path)!r} is not a directory" in err
+        assert "Traceback" not in err

@@ -2,12 +2,13 @@
 
 Covers the store format itself (record codec, torn-tail tolerance, index
 sidecars, compaction), the :class:`~repro.session.cache.ResultCache`
-integration (layout detection, group commits, ``get_many``/``prefetch``
-source accounting, eviction durability), migration from the legacy
-JSON-per-entry layout, cross-format byte-identity of whole session runs,
-and the concurrent-writer model (per-process segments, readers merge at
-open) — including a real multi-process stress test mirroring the
-checkpoint journal's torn-line test.
+integration (group commits, eviction durability), migration from the
+retired JSON-per-entry layout (seeded with files written exactly as that
+layout's writer wrote them), byte-identity of whole session runs across
+memory, pack and migrated directories, and the concurrent-writer model
+(per-process segments, readers merge at open) — including a real
+multi-process stress test mirroring the checkpoint journal's torn-line
+test.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import cache_main, format_cache_info
+from repro.isa.tiling import TilingPlan
 from repro.session import (
     EvaluationSession,
     ResultCache,
@@ -48,6 +50,46 @@ def _stats(tag: str) -> ProgramStats:
 
 def _entry(tag: str) -> dict:
     return {"kind": "program_stats", "workload": {"network": tag}, "payload": {"tag": tag}}
+
+
+def write_legacy_entry(
+    directory: Path, key: str, kind: str, payload: dict, workload: dict | None = None
+) -> Path:
+    """Write ``<key>.json`` exactly as the retired per-entry layout did."""
+    path = directory / f"{key}.json"
+    text = json.dumps({"kind": kind, "workload": workload or {}, "payload": payload}, sort_keys=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def convert_to_legacy(directory: Path) -> int:
+    """Rewrite a pack directory as legacy per-entry files; returns the count.
+
+    Every store record becomes a ``<key>.json`` file and the segments and
+    their sidecars are removed; ``manifest.json`` is left as it was.
+    """
+    store = SegmentedStore(directory)
+    keys = list(store.keys())
+    for key in keys:
+        record = store.get_record(key)
+        write_legacy_entry(directory, key, record["kind"], record["payload"], record["workload"])
+    store.close()
+    for segment in directory.glob("pack-*.seg*"):
+        segment.unlink()
+    return len(keys)
+
+
+#: One ``tiling`` entry file as the retired JSON layout wrote it, verbatim
+#: (a LeNet-5 batch-4 run): migration must keep serving such files.
+_LEGACY_TILING_KEY = "bfc4f3a341c8d05ab9441993ab7b3631f27d33d450fa8fc4bc01fb0856caca82"
+_LEGACY_TILING_ENTRY = (
+    '{"kind": "tiling", "payload": {"dram_input_bits": 5120, "dram_output_read_bits": 0, '
+    '"dram_output_write_bits": 320, "dram_weight_bits": 12800, '
+    '"loop_order": "output-stationary", "tile_m": 10, "tile_n": 640, "tile_r": 4, '
+    '"workload": {"input_bits": 2, "m": 10, "n": 640, "output_bits": 8, "r": 4, '
+    '"weight_bits": 2}}, "workload": {"artifact": "tiling", "gemm": {"input_bits": 2, '
+    '"m": 10, "n": 640, "output_bits": 8, "r": 4, "weight_bits": 2}}}'
+)
 
 
 class TestRecordCodec:
@@ -150,47 +192,22 @@ class TestCacheLayouts:
         cache = ResultCache(tmp_path)
         cache.put("alpha", _stats("a"))
         cache.flush()
-        assert cache.layout == "pack"
         entry_files = {p.name for p in tmp_path.glob("*.json")}
         assert entry_files == {"manifest.json"}  # no per-entry files
         assert list(tmp_path.glob("pack-*.seg"))
 
-    def test_json_directory_is_detected_and_served_unchanged(self, tmp_path):
-        writer = ResultCache(tmp_path, layout="json")
-        writer.put("alpha", _stats("a"))
-        writer.flush()
-        reader = ResultCache(tmp_path)
-        assert reader.layout == "json"
-        assert reader.get("alpha") == _stats("a")
-
-    def test_env_override_forces_layout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_LAYOUT", "json")
+    def test_legacy_json_entries_are_not_served(self, tmp_path):
+        # A directory still holding per-entry files is not read: lookups
+        # miss (and recompute into pack records) until `cache migrate`.
+        write_legacy_entry(tmp_path, _LEGACY_TILING_KEY, "tiling", {"tile_m": 1})
         cache = ResultCache(tmp_path)
-        assert cache.layout == "json"
-        cache.put("alpha", _stats("a"))
-        cache.flush()
-        assert (tmp_path / "alpha.json").exists()
-
-    def test_unknown_layout_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, layout="sqlite")
-
-    def test_pack_cache_reads_stray_json_entries(self, tmp_path):
-        # Mixed directory (mid-migration, or a json-layout writer sharing
-        # the dir): the pack cache serves legacy entries as a fallback.
-        legacy = ResultCache(tmp_path, layout="json")
-        legacy.put("old", _stats("o"))
-        legacy.flush()
-        mixed = ResultCache(tmp_path, layout="pack")
-        mixed.put("new", _stats("n"))
-        assert mixed.get("old") == _stats("o")
-        assert mixed.get("new") == _stats("n")
-        assert "old" in mixed and "new" in mixed
+        assert cache.get(_LEGACY_TILING_KEY) is None
+        assert _LEGACY_TILING_KEY not in cache
+        assert cache.disk_keys() == set()
 
     def test_put_without_flush_is_visible_to_a_fresh_reader(self, tmp_path):
-        # Durability parity with the json layout: a put is on disk before
-        # any flush (the segment append is immediate; only the advisory
-        # sidecar/manifest bookkeeping batches).
+        # A put is on disk before any flush (the segment append is
+        # immediate; only the advisory sidecar/manifest bookkeeping batches).
         writer = ResultCache(tmp_path)
         writer.put("alpha", _stats("a"))
         reader = ResultCache(tmp_path)
@@ -209,21 +226,28 @@ class TestCacheLayouts:
         assert store.segment_count == 1
         assert len(store) == 8
 
-    def test_get_many_and_prefetch_report_disk_sources_exactly_once(self, tmp_path):
+    def test_first_read_is_a_disk_hit_then_memory(self, tmp_path):
         writer = ResultCache(tmp_path)
         writer.put("k1", _stats("1"))
-        writer.put("k2", _stats("2"))
         writer.flush()
         reader = ResultCache(tmp_path)
-        missing = reader.prefetch(["k1", "k2", "ghost"])
-        assert missing == {"ghost"}
-        # First access of a prefetched key still counts as a disk hit —
-        # byte-identical statistics with the one-file-per-entry oracle.
-        value, source = reader.get_with_source("k1")
-        assert value == _stats("1") and source == "disk"
-        value, source = reader.get_with_source("k1")
-        assert source == "memory"
-        assert reader.get_many(["k2", "ghost"]) == {"k2": _stats("2")}
+        assert reader.get_with_source("k1") == (_stats("1"), "disk")
+        assert reader.get_with_source("k1") == (_stats("1"), "memory")
+        assert reader.get_with_source("ghost") == (None, "miss")
+
+    def test_newest_segment_wins_a_duplicated_key(self, tmp_path):
+        # Two writers stored the same key; every fresh reader must serve
+        # the most recently written copy, whatever the segment names.
+        older = SegmentedStore(tmp_path)
+        older.append([("k", _entry("old"))])
+        older.close()
+        stamp = 10**18
+        for segment in tmp_path.glob("pack-*.seg"):
+            os.utime(segment, ns=(stamp, stamp))
+        newer = SegmentedStore(tmp_path)
+        newer.append([("k", _entry("new"))])
+        newer.close()
+        assert SegmentedStore(tmp_path).get_record("k")["payload"] == {"tag": "new"}
 
     def test_pack_eviction_is_durable_for_fresh_readers(self, tmp_path):
         writer = ResultCache(tmp_path)
@@ -250,51 +274,6 @@ class TestCacheLayouts:
 
 
 class TestManifestRebuildScaling:
-    def test_json_rebuild_reads_kind_from_a_bounded_prefix(self, tmp_path):
-        # A valid prefix followed by a huge garbage tail: the old rebuild
-        # (full read + json.loads) classified this entry "unknown"; the
-        # bounded-prefix read recovers the kind without touching the tail.
-        cache = ResultCache(tmp_path, layout="json")
-        cache.put("normal", _stats("n"))
-        cache.flush()
-        big = (tmp_path / "hand-written.json")
-        big.write_text(
-            '{"kind": "program_stats", "payload": ' + "9" * (4 << 20) + "}",
-            encoding="utf-8",
-        )
-        (tmp_path / "manifest.json").unlink()
-        rebuilt = ResultCache(tmp_path, layout="json")
-        summary = rebuilt.entry_summary()
-        assert summary["program_stats"]["entries"] == 2
-        assert "unknown" not in summary
-
-    def test_rebuild_time_does_not_scale_with_payload_bytes(self, tmp_path):
-        import time
-
-        small_dir, big_dir = tmp_path / "small", tmp_path / "big"
-        for directory, payload_digits in ((small_dir, 10), (big_dir, 8 << 20)):
-            directory.mkdir()
-            for index in range(8):
-                (directory / f"entry{index}.json").write_text(
-                    '{"kind": "program_stats", "payload": '
-                    + "7" * payload_digits
-                    + "}",
-                    encoding="utf-8",
-                )
-
-        def rebuild_seconds(directory: Path) -> float:
-            started = time.perf_counter()
-            ResultCache(directory, layout="json")
-            return time.perf_counter() - started
-
-        small = rebuild_seconds(small_dir)
-        big = rebuild_seconds(big_dir)
-        # ~64 MiB of payloads vs ~100 bytes: a full-read rebuild is tens of
-        # times slower; a bounded-prefix rebuild is within noise.  The 25x
-        # margin keeps the test robust on slow CI filesystems while still
-        # failing hard if whole payloads are ever read again.
-        assert big < small * 25 + 0.05
-
     def test_pack_rebuild_uses_the_store_index(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("alpha", _stats("a"))
@@ -311,36 +290,32 @@ class TestEvictionOrderRegression:
         # The budget check keeps a running byte total instead of re-summing
         # the manifest per put; the observable eviction order (strictly
         # least-recently-used first, the just-written entry protected) must
-        # be unchanged — in both layouts.
-        for layout in ("json", "pack"):
-            directory = tmp_path / layout
-            writer = ResultCache(directory, layout=layout)
-            for index in range(4):
-                writer.put(f"key{index}", _stats(str(index)))
-            writer.flush()
-            writer.close()
-            manifest = json.loads(
-                (directory / "manifest.json").read_text(encoding="utf-8")
-            )
-            entry_bytes = manifest["entries"]["key0"]["bytes"]
+        # be unchanged.
+        writer = ResultCache(tmp_path)
+        for index in range(4):
+            writer.put(f"key{index}", _stats(str(index)))
+        writer.flush()
+        writer.close()
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        entry_bytes = manifest["entries"]["key0"]["bytes"]
 
-            cache = ResultCache(directory, layout=layout, max_bytes=4 * entry_bytes)
-            assert cache.get("key1") is not None  # touch: key1 hottest
-            evicted: list[str] = []
-            survivors = {f"key{i}" for i in range(4)}
-            # Same key/tag widths as the seeds, so every entry is the same
-            # size and each over-budget put evicts exactly one victim.
-            for extra in range(4, 7):
-                cache.put(f"key{extra}", _stats(str(extra)))
-                survivors.add(f"key{extra}")
-                remaining = cache.disk_keys()
-                evicted.extend(sorted(survivors - remaining))
-                survivors = remaining
-            # Exactly one eviction per over-budget put, in LRU order:
-            # untouched key0/key2/key3 go first (write order), the touched
-            # key1 and every newer entry survive.
-            assert evicted == ["key0", "key2", "key3"]
-            assert "key1" in survivors
+        cache = ResultCache(tmp_path, max_bytes=4 * entry_bytes)
+        assert cache.get("key1") is not None  # touch: key1 hottest
+        evicted: list[str] = []
+        survivors = {f"key{i}" for i in range(4)}
+        # Same key/tag widths as the seeds, so every entry is the same size
+        # and each over-budget put evicts exactly one victim.
+        for extra in range(4, 7):
+            cache.put(f"key{extra}", _stats(str(extra)))
+            survivors.add(f"key{extra}")
+            remaining = cache.disk_keys()
+            evicted.extend(sorted(survivors - remaining))
+            survivors = remaining
+        # Exactly one eviction per over-budget put, in LRU order: untouched
+        # key0/key2/key3 go first (write order), the touched key1 and every
+        # newer entry survive.
+        assert evicted == ["key0", "key2", "key3"]
+        assert "key1" in survivors
 
     def test_overwrites_do_not_inflate_the_running_total(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -353,11 +328,38 @@ class TestEvictionOrderRegression:
 
 
 class TestMigration:
-    def _seed_json(self, directory: Path, count: int = 6) -> None:
-        writer = ResultCache(directory, layout="json")
+    def _seed_json(self, directory: Path, count: int = 6, touch: str | None = None) -> None:
+        """A legacy per-entry directory: written as pack, then converted."""
+        writer = ResultCache(directory)
         for index in range(count):
             writer.put(f"key{index}", _stats(str(index)))
+        if touch is not None:
+            assert writer.get(touch) is not None  # bump refs + recency
         writer.flush()
+        writer.close()
+        assert convert_to_legacy(directory) == count
+
+    def test_legacy_writer_helper_matches_a_parent_written_file(self, tmp_path):
+        entry = json.loads(_LEGACY_TILING_ENTRY)
+        path = write_legacy_entry(
+            tmp_path, _LEGACY_TILING_KEY, entry["kind"], entry["payload"], entry["workload"]
+        )
+        assert path.read_text(encoding="utf-8") == _LEGACY_TILING_ENTRY
+
+    def test_parent_written_entry_migrates_and_is_served_warm(self, tmp_path):
+        (tmp_path / f"{_LEGACY_TILING_KEY}.json").write_text(
+            _LEGACY_TILING_ENTRY, encoding="utf-8"
+        )
+        assert migrate_json_dir(tmp_path)[0] == 1
+        plan = ResultCache(tmp_path).get(_LEGACY_TILING_KEY)
+        assert isinstance(plan, TilingPlan)
+        assert plan.to_dict() == json.loads(_LEGACY_TILING_ENTRY)["payload"]
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            warm = session.run(workload)
+        assert session.stats.tilings.disk_hits == 1
+        with EvaluationSession() as memory:
+            assert network_result_to_dict(memory.run(workload)) == network_result_to_dict(warm)
 
     def test_migrate_converts_in_place_and_preserves_entries(self, tmp_path):
         self._seed_json(tmp_path)
@@ -367,16 +369,13 @@ class TestMigration:
             p for p in tmp_path.glob("*.json") if p.name != "manifest.json"
         ]
         reader = ResultCache(tmp_path)
-        assert reader.layout == "pack"
         for index in range(6):
             assert reader.get(f"key{index}") == _stats(str(index))
 
     def test_migrate_preserves_manifest_recency_and_refs(self, tmp_path):
-        self._seed_json(tmp_path)
-        reader = ResultCache(tmp_path)
-        assert reader.get("key2") is not None  # bump refs + recency
-        reader.flush()
+        self._seed_json(tmp_path, touch="key2")
         before = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert before["entries"]["key2"]["refs"] == 1
         migrate_json_dir(tmp_path)
         after = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert set(after["entries"]) == set(before["entries"])
@@ -405,58 +404,56 @@ class TestMigration:
     def test_cache_info_reports_the_format_line(self, tmp_path):
         self._seed_json(tmp_path / "json")
         info = format_cache_info(str(tmp_path / "json"))
-        assert "format: json files" in info
+        assert (
+            "format: segmented pack (0 segments); 6 legacy json entries not served "
+            "(convert with: cache migrate)"
+        ) in info
         pack = ResultCache(tmp_path / "pack")
         pack.put("alpha", _stats("a"))
         pack.flush()
         info = format_cache_info(str(tmp_path / "pack"))
-        assert "format: segmented pack (1 segment)" in info
+        assert "format: segmented pack (1 segment)\n" in info
 
 
 class TestCrossFormatByteIdentity:
-    def test_warm_runs_match_across_layouts_and_migration(self, tmp_path):
-        # The same workload evaluated against a json-layout cache, a
-        # pack-layout cache, a pack cache reading the json dir as fallback,
-        # and a migrated dir must produce byte-identical results with
-        # byte-identical hit accounting.
+    def test_memory_pack_and_migrated_runs_are_byte_identical(self, tmp_path):
+        # One chain: in memory, pack cold, pack warm, then the pack
+        # directory converted to legacy files, migrated and run warm.
+        # Results match throughout; both warm runs hit every stage from
+        # disk with identical accounting.
         workload = Workload.bitfusion("LeNet-5", batch_size=2)
-        json_dir = tmp_path / "json"
-        pack_dir = tmp_path / "pack"
-        with EvaluationSession(cache=ResultCache(json_dir, layout="json")) as seed:
-            json_cold = seed.run(workload)
-        with EvaluationSession(cache=ResultCache(pack_dir, layout="pack")) as seed:
-            pack_cold = seed.run(workload)
-        assert network_result_to_dict(json_cold) == network_result_to_dict(pack_cold)
 
-        def warm_run(cache: ResultCache):
-            with EvaluationSession(cache=cache) as warm:
-                result = warm.run(workload)
+        def run(cache: ResultCache):
+            with EvaluationSession(cache=cache) as session:
+                result = session.run(workload)
                 stats = (
-                    warm.stats.programs.hits,
-                    warm.stats.programs.disk_hits,
-                    warm.stats.programs.misses,
-                    warm.stats.blocks.hits,
-                    warm.stats.blocks.disk_hits,
-                    warm.stats.blocks.misses,
-                    warm.stats.disk_hits,
-                    warm.stats.unique_executions,
+                    session.stats.programs.hits,
+                    session.stats.programs.disk_hits,
+                    session.stats.programs.misses,
+                    session.stats.blocks.hits,
+                    session.stats.blocks.disk_hits,
+                    session.stats.blocks.misses,
+                    session.stats.disk_hits,
+                    session.stats.unique_executions,
                 )
             return network_result_to_dict(result), stats
 
-        json_warm = warm_run(ResultCache(json_dir, layout="json"))
-        pack_warm = warm_run(ResultCache(pack_dir, layout="pack"))
-        fallback_warm = warm_run(ResultCache(json_dir, layout="pack"))
-        assert json_warm == pack_warm == fallback_warm
-        migrate_json_dir(json_dir)
-        migrated_warm = warm_run(ResultCache(json_dir))
-        assert migrated_warm == json_warm
+        memory, _ = run(ResultCache())
+        cold, cold_stats = run(ResultCache(tmp_path))
+        warm = run(ResultCache(tmp_path))
+        assert cold == memory
+        assert cold_stats[-1] == 1
+        assert warm[0] == memory
+        assert warm[1][-1] == 0 and warm[1][2] == 0 and warm[1][5] == 0
+        assert convert_to_legacy(tmp_path) > 0
+        migrate_json_dir(tmp_path)
+        assert run(ResultCache(tmp_path)) == warm
 
     def test_discarded_pack_block_record_is_resimulated_and_rewritten(self, tmp_path):
-        # Pack-store twin of the corrupted json entry test: drop one block's
-        # layer record; the rerun simulates exactly that block again,
-        # byte-identical, and stores it back.
+        # Drop one block's layer record; the rerun simulates exactly that
+        # block again, byte-identical, and stores it back.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="pack")) as first:
+        with EvaluationSession(cache=ResultCache(tmp_path)) as first:
             fresh = first.run(workload)
         program = compile_program(workload)
         dropped = layer_cache_key(program[0], workload.config)
@@ -467,13 +464,13 @@ class TestCrossFormatByteIdentity:
         store.flush()
         store.close()
         (tmp_path / "manifest.json").unlink()  # force rebuild from the store
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="pack")) as second:
+        with EvaluationSession(cache=ResultCache(tmp_path)) as second:
             restored = second.run(workload)
         assert second.stats.unique_executions == 1
         assert second.stats.blocks.misses == 1
         assert second.stats.blocks.hits == len(program) - 1
         assert network_result_to_dict(restored) == network_result_to_dict(fresh)
-        assert dropped in ResultCache(tmp_path, layout="pack").disk_keys()
+        assert dropped in ResultCache(tmp_path).disk_keys()
 
 
 _WRITER_SCRIPT = """
@@ -482,7 +479,7 @@ from repro.session import ResultCache
 from repro.session.cache import ProgramStats
 
 directory, prefix, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-cache = ResultCache(directory, layout="pack")
+cache = ResultCache(directory)
 with cache.batch():
     for index in range(count):
         cache.put(
@@ -525,10 +522,9 @@ class TestConcurrentWriters:
         assert reader.disk_keys() == expected
         # Every single record must decode intact — a torn interleaved write
         # would surface here as a None or a mismatched payload.
-        values = reader.get_many(sorted(expected))
-        assert set(values) == expected
-        for key, value in values.items():
-            assert value.network_name == key
+        for key in sorted(expected):
+            value = reader.get(key)
+            assert value is not None and value.network_name == key
         store = SegmentedStore(tmp_path)
         assert len(store) == 2 * count
         assert store.segment_count == 2  # one segment per writer process

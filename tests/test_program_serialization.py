@@ -165,20 +165,16 @@ class TestStagedPipelineEquivalence:
     def test_disk_restored_program_simulates_byte_identical(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         monolithic = execute_workload(workload)
-        # The legacy json layout is forced so block records can be deleted
-        # per-file below; the pack-store path is covered in
-        # test_pack_store.py.
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
+        with EvaluationSession(cache_dir=tmp_path) as first:
             first.run(workload)
         # A fresh session restores the compiled program from disk but must
         # re-simulate every block: same result, bit for bit.
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as second:
-            second.cache.clear_memory()
-            for path in tmp_path.glob("*.json"):
-                entry = path.read_text(encoding="utf-8")
-                # Drop the simulated-block records.
-                if '"kind": "layer"' in entry:
-                    path.unlink()
+        reader = ResultCache(tmp_path)
+        store = reader._store
+        for key in [key for key in store.keys() if store.kind(key) == "layer"]:
+            # Drop the simulated-block records from the reader's index.
+            store.discard(key)
+        with EvaluationSession(cache=reader) as second:
             restored = second.run(workload)
         assert second.stats.programs.hits == 1
         assert second.stats.blocks.misses > 0

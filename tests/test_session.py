@@ -29,6 +29,7 @@ from repro.nas import mutate
 from repro.session import (
     EvaluationSession,
     ResultCache,
+    SegmentedStore,
     Workload,
     compile_program,
     execute_workload,
@@ -207,15 +208,25 @@ class TestResultCache:
             cache.put("key", object())
 
     def test_corrupted_block_artifact_is_a_miss_and_gets_rewritten(self, tmp_path):
-        # Json layout throughout: the corruption is injected per entry file
-        # (pack-record torn tails are covered in test_pack_store.py).
+        # The corruption is a newer pack record for block 0's layer key
+        # whose payload does not decode (torn record tails are covered in
+        # test_pack_store.py).  Segments are backdated between steps so
+        # "newer" never hinges on the filesystem's timestamp granularity.
+        def age_segments() -> None:
+            for segment in tmp_path.glob("pack-*.seg"):
+                stamp = segment.stat().st_mtime_ns - 60 * 10**9
+                os.utime(segment, ns=(stamp, stamp))
+
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
+        with EvaluationSession(cache_dir=tmp_path) as first:
             fresh = first.run(workload)
         program = compile_program(workload)
-        # Corrupt block 0's one content-addressed entry.
         corrupted = layer_cache_key(program[0], workload.config)
-        (tmp_path / f"{corrupted}.json").write_text("not json", encoding="utf-8")
+        age_segments()
+        store = SegmentedStore(tmp_path)
+        store.append([(corrupted, {"kind": "layer", "workload": {}, "payload": {"bad": 1}})])
+        store.close()
+        age_segments()
         with EvaluationSession(cache_dir=tmp_path) as second:
             recovered = second.run(workload)
         assert second.stats.misses == 1
