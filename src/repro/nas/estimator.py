@@ -42,25 +42,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.config import BitFusionConfig
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler
 from repro.isa.program import Program
+from repro.session.backends import ExecutionBackend, InlineBackend
 from repro.session.cache import CacheStats, ResultCache
 from repro.session.engine import (
     layer_cache_key,
     lookup_block,
     make_plan_resolver,
     program_content_key,
-    simulate_planned_blocks,
     store_layer_record,
 )
 from repro.sim.results import LayerResult, NetworkResult, compose_network_result
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.session.backends import ExecutionBackend
 
 __all__ = ["Estimator", "EstimatorStats"]
 
@@ -148,7 +144,8 @@ class Estimator:
         Optional :class:`~repro.session.backends.ExecutionBackend` whose
         ``simulate_plans`` runs the batched simulation stage — a
         ``RemoteBackend`` shards candidate blocks across worker daemons.
-        Defaults to inline batched simulation.
+        Defaults to :class:`~repro.session.backends.InlineBackend` (batched
+        simulation in this process).
 
     ``stats`` (:class:`EstimatorStats`) counts candidates and layers;
     ``cache_stats`` (:class:`~repro.session.cache.CacheStats`) carries the
@@ -172,7 +169,7 @@ class Estimator:
         self.cache = cache if cache is not None else ResultCache()
         self.enable_loop_ordering = enable_loop_ordering
         self.enable_layer_fusion = enable_layer_fusion
-        self.backend = backend
+        self.backend = backend if backend is not None else InlineBackend()
         self.stats = EstimatorStats()
         self.cache_stats = CacheStats()
         self._resolver = make_plan_resolver(self.config, self.cache, self.cache_stats)
@@ -220,10 +217,7 @@ class Estimator:
                 for fingerprint, network in unique.items()
             ]
             sim_started = time.perf_counter()
-            if self.backend is not None:
-                remote = self.backend.simulate_plans(plans)
-            else:
-                remote = simulate_planned_blocks(plans)
+            remote = self.backend.simulate_plans(plans)
             sim_seconds = time.perf_counter() - sim_started
             self.stats.sim_seconds += sim_seconds
             self.cache_stats.sim_seconds += sim_seconds

@@ -101,7 +101,6 @@ from repro.session.engine import (
     compile_workload,
     execute_work_unit,
     execute_workload,
-    execute_workload_cached,
     layer_cache_key,
     make_plan_resolver,
     program_cache_key,
@@ -158,7 +157,6 @@ __all__ = [
     "estimated_cost",
     "execute_work_unit",
     "execute_workload",
-    "execute_workload_cached",
     "fixed_bitwidth_network",
     "get_default_session",
     "layer_cache_key",

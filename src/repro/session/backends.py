@@ -1,45 +1,56 @@
-"""Execution backends: one protocol, three ways to run a schedule.
+"""Execution backends: one execute loop, three places the missing blocks run.
 
-:class:`~repro.session.session.EvaluationSession.run_many` resolves its
-batch against the cache and hands the genuinely pending schedule to an
-:class:`ExecutionBackend`.  The backend owns *where* work units execute;
-the session keeps owning everything else — cache resolution, commit
-ordering, the retry-once / quarantine policy and the checkpoint journal —
-so every backend inherits the same fault-tolerance and byte-identity
-contracts:
+:meth:`ExecutionBackend.execute` is written once and every backend runs it
+on the pending schedule ``run_many`` hands over:
 
-* :class:`InlineBackend` — the serial path: plan every workload against
-  the cache, simulate the missing blocks of the whole batch through as few
-  vectorized calls as possible
-  (:func:`~repro.session.engine.simulate_planned_blocks` — cross-workload
-  grid merging), then compose in schedule order.  With a checkpoint it
-  degrades to strictly per-workload commits (kill-anywhere resumability).
-* :class:`ProcessPoolBackend` — the ``--jobs`` path: a lazily created
-  ``ProcessPoolExecutor``, work units submitted as their plans complete,
-  per-sim-config simulator memoization in the workers, and labelled
-  failure isolation (a crashed worker fails only its own workload and the
-  broken pool is discarded).
-* :class:`~repro.session.remote.RemoteBackend` — TCP/JSON workers
-  (``python -m repro.harness worker``); lives in its own module so the
-  session import stays socket-free.
+1. plan each workload in schedule order
+   (:func:`~repro.session.engine.plan_workload`, one ``claimed`` set for
+   the batch, so a block an earlier workload claimed is deferred to compose
+   time; a workload that cannot be planned fails alone);
+2. take one reply per plan, in schedule order, from the backend's reply
+   primitive :meth:`ExecutionBackend.replies` — a
+   :class:`~repro.session.engine.WorkResult` or the exception that lost it;
+3. turn an error or exception into a :class:`Failure` for the session's
+   retry-once / quarantine policy, compose the rest through
+   :func:`~repro.session.engine.compose_plan` and commit each through
+   ``session._commit`` before the next reply is taken.
 
-A backend returns ``(resolved, failures)``; the session feeds the failures
-into its retry/quarantine policy.  Backends report *who* did the work
-through :class:`~repro.session.cache.WorkerStats` (backend name, per-worker
-unit counts, dispatch/wait wall time), which the report footer and
-``--profile`` table render.
+The whole batch is one ``cache.batch()`` group commit unless the session
+carries a checkpoint, whose contract is one durable commit per workload.
+A backend keeps only where the missing blocks run:
+
+* :class:`InlineBackend` (the base primitive) — in this process, all plans'
+  missing blocks in one batched :meth:`~ExecutionBackend.simulate_plans`
+  call (cross-workload grid merging), one plan at a time if that raises;
+  baselines run whole.  With a checkpoint it is lazy: plan, simulate and
+  commit one workload at a time, so a kill loses at most that workload.
+* :class:`ProcessPoolBackend` — the ``--jobs`` path: work units submitted
+  to a ``ProcessPoolExecutor`` as their plans complete, futures resolved in
+  order, a broken pool discarded.
+* :class:`~repro.session.remote.RemoteBackend` — TCP/JSON workers, in its
+  own module so the session import stays socket-free.
+
+Backends report who did the work through
+:class:`~repro.session.cache.WorkerStats`, which the footer and
+``--profile`` render.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
+from repro.session.cache import CacheStats, ResultCache
 from repro.session.engine import (
+    WorkPlan,
+    WorkResult,
+    compose_plan,
     describe_workload_error,
     execute_work_unit,
+    execute_workload,
     plan_workload,
     simulate_planned_blocks,
 )
@@ -57,8 +68,14 @@ __all__ = [
     "make_backend",
 ]
 
-#: (workload, result) callback fired at commit time; see ``run_many``.
+#: Callback fired once per unique workload the moment its result is known
+#: (cache hit at lookup, or commit after fresh execution) — the streaming
+#: seam incremental Pareto reduction hangs off.
 ResultCallback = Callable[[Workload, NetworkResult], None]
+
+#: One plan's reply: what ran its missing blocks, or the exception that
+#: lost the reply (a crashed worker, a dead connection, a raising block).
+Reply = Union[WorkResult, Exception]
 
 
 @dataclass(frozen=True)
@@ -70,17 +87,54 @@ class Failure:
     message: str
 
 
+class ReplyError(RuntimeError):
+    """An error reply; carries the worker's already-formatted message."""
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+        super().__init__(message)
+
+
+def failure_message(workload: Workload, error: Exception) -> str:
+    """What a failed attempt reports: the worker's message, or the labelled error."""
+    if isinstance(error, ReplyError):
+        return error.message
+    return describe_workload_error(workload, error)
+
+
+def result_of(
+    plan: WorkPlan, reply: Reply, cache: ResultCache, stats: CacheStats
+) -> NetworkResult:
+    """The result one reply stands for; raises whatever lost it.
+
+    A whole result (a baseline's) is taken as is; a Bit Fusion plan
+    composes from the reply's blocks plus its cached and deferred ones.
+    Worker-side wall time folds into ``stats``' per-stage timers, so every
+    backend's footer measures the same stages.
+    """
+    if isinstance(reply, Exception):
+        raise reply
+    if reply.error is not None:
+        raise ReplyError(reply.error)
+    stats.compile_seconds += reply.compile_seconds
+    stats.sim_seconds += reply.sim_seconds
+    if reply.result is not None:
+        return reply.result
+    started = time.perf_counter()
+    result = compose_plan(plan, dict(reply.layers), cache, stats)
+    stats.compose_seconds += time.perf_counter() - started
+    return result
+
+
 class ExecutionBackend:
     """Where a session's pending schedule executes.
 
-    ``execute`` receives the session (for cache, stats, checkpoint and the
-    commit helpers) and the deduplicated, longest-job-first schedule; it
-    must commit every successful result through ``session._commit`` (in
-    schedule order, so deferred in-batch blocks resolve exactly as they
-    would serially) and return the resolved results plus the failures the
-    session should retry.  ``simulate_plans`` is the bare simulation
-    primitive the NAS estimator batches candidate plans through — inline
-    by default, sharded by the remote backend.
+    :meth:`execute` is the one loop every backend runs (see the module
+    docstring); subclasses override only :meth:`replies`, the primitive
+    that yields one ``(plan, reply)`` pair per plan in schedule order.
+    The base primitive runs inline.  ``simulate_plans`` is the bare
+    simulation primitive the NAS estimator batches candidate plans through
+    — inline by default, sharded by the remote backend.
     """
 
     #: Short name rendered in the footer's ``backend:`` line and the
@@ -93,7 +147,76 @@ class ExecutionBackend:
         items: list[tuple[str, Workload]],
         on_result: ResultCallback | None = None,
     ) -> tuple[dict[str, NetworkResult], list[Failure]]:
-        raise NotImplementedError
+        """Plan, run, compose and commit the schedule; return what failed.
+
+        Returns the resolved results plus the failures the session should
+        retry.  Every successful result is committed through
+        ``session._commit`` before the next reply is taken.
+        """
+        stats = session.stats
+        claimed: set[str] = set()
+        resolved: dict[str, NetworkResult] = {}
+        failures: list[Failure] = []
+        planned: list[tuple[str, Workload]] = []
+
+        def plans() -> Iterator[WorkPlan]:
+            for key, workload in items:
+                try:
+                    plan = plan_workload(workload, session.cache, stats, claimed)
+                except Exception as error:
+                    # A workload that cannot even be planned (no feasible
+                    # tiling, say) fails alone, like one whose run raised.
+                    failures.append(Failure(key, workload, failure_message(workload, error)))
+                    continue
+                planned.append((key, workload))
+                yield plan
+
+        # Without a checkpoint there is no durability contract between
+        # workloads, so the whole batch — compile-stage artifacts and every
+        # composed workload's store-backs — lands as one group commit (a
+        # single segment append + one index flush on disk-backed caches).
+        with session.cache.batch() if session.checkpoint is None else nullcontext():
+            replies = self.replies(session, plans(), len(items))
+            for index, (plan, reply) in enumerate(replies):
+                # The primitive yields in plan order, so the index-th reply
+                # belongs to the index-th workload that planned.
+                key, workload = planned[index]
+                try:
+                    result = result_of(plan, reply, session.cache, stats)
+                except Exception as error:
+                    failures.append(Failure(key, workload, failure_message(workload, error)))
+                    continue
+                session._commit(key, workload, result, on_result)
+                resolved[key] = result
+        return resolved, failures
+
+    def replies(
+        self, session: "EvaluationSession", plans: Iterator[WorkPlan], count: int
+    ) -> Iterator[tuple[WorkPlan, Reply]]:
+        """Run the ``count`` plans inline; one ``(plan, reply)`` each, in order.
+
+        Bit Fusion plans get their missing blocks from one batched
+        :meth:`simulate_plans` call over the whole batch (a sweep varying
+        only simulation parameters collapses into one 2-D grid pass); if
+        that call raises, every plan simulates alone so one faulting block
+        fails only its own workload.  With a checkpoint the primitive is
+        lazy: each plan is pulled, simulated and yielded — and so committed
+        — before the next is planned, which keeps resume accounting exact.
+        """
+        if session.checkpoint is not None:
+            for plan in plans:
+                yield plan, _run_inline(plan)
+            return
+        plans = list(plans)
+        try:
+            started = time.perf_counter()
+            batched: list[Any] = self.simulate_plans(plans)
+            session.stats.sim_seconds += time.perf_counter() - started
+        except Exception:
+            # One faulting block aborted the whole batched call.
+            batched = [None] * len(plans)
+        for plan, layers in zip(plans, batched):
+            yield plan, _run_inline(plan, layers)
 
     def simulate_plans(self, plans: Sequence[Any]) -> list[dict[int, Any]]:
         """Simulate the missing blocks of arbitrary plans (PlanLike)."""
@@ -107,95 +230,28 @@ class ExecutionBackend:
         return self.name
 
 
+def _run_inline(plan: WorkPlan, layers: dict[int, Any] | None = None) -> Reply:
+    """One plan's reply computed in this process.
+
+    ``layers`` are the plan's already-simulated missing blocks (``None``:
+    simulate them now); a baseline plan executes its workload whole.
+    """
+    started = time.perf_counter()
+    try:
+        if plan.program is None:
+            result = execute_workload(plan.workload)
+            return WorkResult(result=result, sim_seconds=time.perf_counter() - started)
+        if layers is None:
+            layers = simulate_planned_blocks([plan])[0]
+        return WorkResult(layers=tuple(layers.items()), sim_seconds=time.perf_counter() - started)
+    except Exception as error:
+        return error
+
+
 class InlineBackend(ExecutionBackend):
     """Serial in-process execution with cross-workload batched simulation."""
 
     name = "inline"
-
-    def execute(
-        self,
-        session: "EvaluationSession",
-        items: list[tuple[str, Workload]],
-        on_result: ResultCallback | None = None,
-    ) -> tuple[dict[str, NetworkResult], list[Failure]]:
-        """Run the schedule inline, batching simulations across workloads.
-
-        Without a checkpoint, every Bit Fusion workload of the batch is
-        planned against the cache first (central compile, per-block
-        resolution through the layer key, in-batch duplicates deferred
-        to their claimant exactly like the parallel protocol); the
-        genuinely missing blocks of *all* plans then simulate through as
-        few vectorized batched calls as possible
-        (:func:`~repro.session.engine.simulate_planned_blocks` — a sweep
-        varying only simulation parameters collapses into one 2-D grid
-        pass) before each workload composes in schedule order.  Baseline
-        workloads (no compile stage) execute whole, as always.  If the
-        all-plans batched call raises, the batch degrades to per-plan
-        simulation so one faulting block fails only its own workload.
-
-        With a checkpoint, workloads run strictly one at a time — plan,
-        simulate, compose, store, journal — so a kill at any point loses at
-        most the in-flight workload.
-        """
-        stats = session.stats
-        resolved: dict[str, NetworkResult] = {}
-        failures: list[Failure] = []
-        if session.checkpoint is None:
-            # No durability contract to honour between workloads, so the
-            # whole batch — compile-stage artifacts and every composed
-            # workload's store-backs — lands as one group commit (a single
-            # segment append + one index flush on disk-backed caches).
-            with session.cache.batch():
-                claimed: set[str] = set()
-                plans = [
-                    plan_workload(workload, session.cache, stats, claimed)
-                    for _, workload in items
-                ]
-                try:
-                    started = time.perf_counter()
-                    remote: list[dict[int, object]] | None = self.simulate_plans(plans)
-                    stats.sim_seconds += time.perf_counter() - started
-                except Exception:
-                    # One faulting block aborted the whole batched call;
-                    # degrade to per-plan simulation so only the faulty
-                    # workload fails.
-                    remote = None
-                for index, ((key, workload), plan) in enumerate(zip(items, plans)):
-                    try:
-                        if remote is not None:
-                            layers = remote[index]
-                        else:
-                            started = time.perf_counter()
-                            layers = simulate_planned_blocks([plan])[0]
-                            stats.sim_seconds += time.perf_counter() - started
-                        result = session._finish_plan(workload, plan, layers)
-                    except Exception as error:
-                        failures.append(
-                            Failure(key, workload, describe_workload_error(workload, error))
-                        )
-                        continue
-                    session._commit(key, workload, result, on_result)
-                    resolved[key] = result
-        else:
-            # Checkpointed: one durable commit per workload, in schedule
-            # order.  Trades the cross-workload grid merge for the property
-            # that a kill between commits never loses more than one point.
-            claimed = set()
-            for key, workload in items:
-                try:
-                    plan = plan_workload(workload, session.cache, stats, claimed)
-                    started = time.perf_counter()
-                    layers = simulate_planned_blocks([plan])[0]
-                    stats.sim_seconds += time.perf_counter() - started
-                    result = session._finish_plan(workload, plan, layers)
-                except Exception as error:
-                    failures.append(
-                        Failure(key, workload, describe_workload_error(workload, error))
-                    )
-                    continue
-                session._commit(key, workload, result, on_result)
-                resolved[key] = result
-        return resolved, failures
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -208,7 +264,6 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self._pool: ProcessPoolExecutor | None = None
-        self._inline = InlineBackend()
 
     def describe(self) -> str:
         return f"pool ({self.jobs} processes)"
@@ -224,106 +279,60 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def execute(
-        self,
-        session: "EvaluationSession",
-        items: list[tuple[str, Workload]],
-        on_result: ResultCallback | None = None,
-    ) -> tuple[dict[str, NetworkResult], list[Failure]]:
-        """Run the schedule over the pool, warm artifacts resolved first.
+    def replies(
+        self, session: "EvaluationSession", plans: Iterator[WorkPlan], count: int
+    ) -> Iterator[tuple[WorkPlan, Reply]]:
+        """Ship each plan's missing blocks to the pool; replies in order.
 
-        Each workload is planned against the cache in the main process
-        (central compile, per-block resolution through the layer key);
-        only plans with genuinely missing work ship a
-        :class:`~repro.session.engine.WorkUnit` to the pool, and each unit
-        is submitted the moment its plan is ready, so workers simulate the
-        first networks while the main process is still compiling the rest.
-        Results compose and store in schedule order, so blocks deferred to
-        an earlier in-batch claimant resolve from the cache exactly as they
-        would serially.
-
-        A worker failure — an error reply *or* a crashed worker process
-        (``BrokenProcessPool`` at ``Future.result()``) — fails only its own
-        workload and routes it into the retry/quarantine path; a broken
-        pool is discarded so the next batch starts fresh workers.
+        Each unit is submitted the moment its plan is ready, so workers
+        simulate the first networks while this process is still compiling
+        the rest.  A crashed worker (``BrokenProcessPool`` at
+        ``Future.result()``) loses only its own reply, and the broken pool
+        is discarded so the next batch starts fresh workers.
         """
-        if len(items) < 2:
+        if count < 2:
             # A single pending workload gains nothing from pool dispatch
             # (and would pay pickle + startup cost); run it inline so the
             # statistics match the historical jobs>1 single-item behaviour.
-            return self._inline.execute(session, items, on_result)
-        stats = session.stats
-        stats.workers.backend = self.name
+            yield from super().replies(session, plans, count)
+            return
+        workers = session.stats.workers
+        workers.backend = self.name
         # The pool is created once per backend and reused across batches
         # so workers pay the interpreter/import start-up cost only once.
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        claimed: set[str] = set()
-        plans = []
-        futures = []
-        for _, workload in items:
-            plan = plan_workload(workload, session.cache, stats, claimed)
-            plans.append(plan)
+        submitted = []
+        for plan in plans:
+            future = None
             if plan.needs_worker:
                 unit = plan.work_unit()
-                stats.workers.units += 1
-                stats.workers.remote_blocks += len(unit.simulate_indices)
+                workers.record_unit(unit)
                 started = time.perf_counter()
-                futures.append(self._pool.submit(execute_work_unit, unit))
-                stats.workers.dispatch_seconds += time.perf_counter() - started
-        replies = iter(futures)
-        resolved: dict[str, NetworkResult] = {}
-        failures: list[Failure] = []
-        for (key, workload), plan in zip(items, plans):
-            reply = None
-            if plan.needs_worker:
-                try:
-                    started = time.perf_counter()
-                    reply = next(replies).result()
-                    stats.workers.wait_seconds += time.perf_counter() - started
-                except Exception as error:
-                    # The worker process died (or the pool broke): the reply
-                    # never arrived.  Fail this workload into the retry path
-                    # and discard the pool — once broken it poisons every
-                    # remaining future, and the next batch deserves fresh
-                    # workers.
-                    failures.append(
-                        Failure(key, workload, describe_workload_error(workload, error))
-                    )
-                    self.discard()
-                    continue
-                stats.workers.record_worker(reply.worker_id or "worker")
-            if reply is not None and reply.error is not None:
-                failures.append(Failure(key, workload, reply.error))
+                future = self._pool.submit(execute_work_unit, unit)
+                workers.dispatch_seconds += time.perf_counter() - started
+            submitted.append((plan, future))
+        for plan, future in submitted:
+            if future is None:
+                yield plan, WorkResult()
                 continue
-            if reply is not None:
-                # Fold worker-side wall time into the session's per-stage
-                # timers so parallel footers measure the same stages.
-                stats.compile_seconds += reply.compile_seconds
-                stats.sim_seconds += reply.sim_seconds
             try:
-                if reply is not None and reply.result is not None:
-                    result = reply.result
-                else:
-                    remote = dict(reply.layers) if reply is not None else {}
-                    started = time.perf_counter()
-                    result = session._compose_plan(plan, remote)
-                    stats.compose_seconds += time.perf_counter() - started
+                started = time.perf_counter()
+                reply = future.result()
+                workers.wait_seconds += time.perf_counter() - started
             except Exception as error:
-                failures.append(
-                    Failure(key, workload, describe_workload_error(workload, error))
-                )
+                # Once broken, the pool poisons every remaining future.
+                self.discard()
+                yield plan, error
                 continue
-            session._commit(key, workload, result, on_result)
-            resolved[key] = result
-        return resolved, failures
+            workers.record_worker(reply.worker_id or "worker")
+            yield plan, reply
 
 
 def make_backend(
     name: str | None = None,
     jobs: int = 1,
     workers: Sequence[str] = (),
-    timeout: float | None = None,
 ) -> ExecutionBackend:
     """Build the backend a CLI invocation asked for.
 
@@ -346,7 +355,5 @@ def make_backend(
             raise ValueError("--backend remote requires --workers host:port[,host:port...]")
         from repro.session.remote import RemoteBackend
 
-        if timeout is not None:
-            return RemoteBackend(workers, timeout=timeout)
         return RemoteBackend(workers)
     raise ValueError(f"unknown backend {name!r}; expected inline, pool or remote")

@@ -183,6 +183,11 @@ class WorkerStats:
     wait_seconds: float = 0.0
     per_worker: dict[str, int] = field(default_factory=dict)
 
+    def record_unit(self, unit: Any) -> None:
+        """Count one dispatched work unit and the blocks it ships."""
+        self.units += 1
+        self.remote_blocks += len(unit.simulate_indices)
+
     def record_worker(self, worker_id: str) -> None:
         """Attribute one completed work unit to a worker identity."""
         self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1

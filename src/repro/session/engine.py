@@ -88,7 +88,6 @@ __all__ = [
     "describe_workload_error",
     "execute_work_unit",
     "execute_workload",
-    "execute_workload_cached",
     "layer_cache_key",
     "make_plan_resolver",
     "obtain_program",
@@ -97,7 +96,7 @@ __all__ = [
     "program_content_key",
     "simulate_planned_blocks",
     "simulator_for",
-    "store_block_result",
+    "slice_work_unit",
     "store_layer_record",
     "tiling_cache_key",
     "try_compose_from_cache",
@@ -440,13 +439,6 @@ def store_layer_record(
     )
 
 
-def store_block_result(
-    cache: ResultCache, workload: Workload, compiled: CompiledBlock, layer: LayerResult
-) -> None:
-    """Store one freshly simulated workload block (:func:`store_layer_record`)."""
-    store_layer_record(cache, workload.config, compiled, layer, workload.describe())
-
-
 # ---------------------------------------------------------------------- #
 # Stage 3: compose, and the staged drivers
 # ---------------------------------------------------------------------- #
@@ -568,26 +560,6 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
     return CacheAudit(state, missing, len(program), 0, 0)
 
 
-def execute_workload_cached(
-    workload: Workload, cache: ResultCache, stats: CacheStats
-) -> NetworkResult:
-    """Run one workload through the staged pipeline with per-stage caching.
-
-    Bit Fusion workloads reuse the cached program and every cached block
-    result; the genuinely missing blocks simulate in one batched call
-    (:func:`simulate_planned_blocks`).  Baseline platforms fall through to
-    the monolithic path (their whole results are cached at the workload
-    level by the session).
-    """
-    if workload.platform != "bitfusion":
-        return execute_workload(workload)
-    plan = plan_workload(workload, cache, stats, set())
-    started = time.perf_counter()
-    remote = simulate_planned_blocks([plan])[0]
-    stats.sim_seconds += time.perf_counter() - started
-    return compose_plan(plan, remote, cache, stats)
-
-
 # ---------------------------------------------------------------------- #
 # The cache-aware parallel worker protocol
 # ---------------------------------------------------------------------- #
@@ -623,7 +595,7 @@ class WorkloadExecutionError(RuntimeError):
         self.quarantined = quarantined
         details = "; ".join(failures)
         super().__init__(
-            f"{len(failures)} workload(s) failed during parallel execution: {details}"
+            f"{len(failures)} workload(s) failed execution and retry: {details}"
         )
 
 
@@ -800,24 +772,33 @@ class WorkPlan:
         return self.program is None or bool(self.simulate_indices)
 
     def work_unit(self) -> WorkUnit:
-        """The unit to ship: the program sliced to only the missing blocks.
+        """The unit to ship: see :func:`slice_work_unit`."""
+        return slice_work_unit(self)
 
-        Slicing keeps pickle traffic proportional to the genuinely missing
-        work instead of the whole program — on a wide, mostly-warm parallel
-        sweep the difference is most of the payload.
-        """
-        if self.program is None:
-            return WorkUnit(workload=self.workload, program_payload=None)
-        blocks = self.program.blocks
-        payload = {
-            "network_name": self.program.network_name,
-            "blocks": [blocks[index].to_dict() for index in self.simulate_indices],
-        }
-        return WorkUnit(
-            workload=self.workload,
-            program_payload=payload,
-            simulate_indices=self.simulate_indices,
-        )
+
+def slice_work_unit(plan: PlanLike) -> WorkUnit:
+    """The unit to ship for any plan: its program sliced to the missing blocks.
+
+    Slicing keeps pickle and wire traffic proportional to the genuinely
+    missing work instead of the whole program — on a wide, mostly-warm
+    parallel sweep the difference is most of the payload.  A plan without a
+    workload (a NAS candidate) ships anonymously with its simulation
+    ``config``; a baseline plan ships its workload to execute whole.
+    """
+    workload = getattr(plan, "workload", None)
+    if plan.program is None:
+        return WorkUnit(workload=workload, program_payload=None)
+    blocks = plan.program.blocks
+    payload = {
+        "network_name": plan.program.network_name,
+        "blocks": [blocks[index].to_dict() for index in plan.simulate_indices],
+    }
+    return WorkUnit(
+        workload=workload,
+        program_payload=payload,
+        simulate_indices=tuple(plan.simulate_indices),
+        config=plan.config if workload is None else None,
+    )
 
 
 def plan_workload(
@@ -896,7 +877,7 @@ def compose_plan(
                 continue
             if index in remote_layers:
                 layer = remote_layers[index]
-                store_block_result(cache, workload, compiled, layer)
+                store_layer_record(cache, workload.config, compiled, layer, workload.describe())
                 layers.append(layer)
                 continue
             value, source = lookup_block(compiled, workload.config, cache)
@@ -907,7 +888,7 @@ def compose_plan(
                 continue
             stats.blocks.record_miss()
             layer = simulator_for(workload.config).run_block(compiled)
-            store_block_result(cache, workload, compiled, layer)
+            store_layer_record(cache, workload.config, compiled, layer, workload.describe())
             layers.append(layer)
     return _compose(workload, plan.program, layers)
 

@@ -49,7 +49,7 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro import __version__
 from repro.baselines.eyeriss import EyerissConfig
@@ -58,7 +58,7 @@ from repro.baselines.stripes import StripesConfig
 from repro.core.config import BitFusionConfig, TechnologyNode
 from repro.isa.program import Program
 from repro.session import testing
-from repro.session.backends import ExecutionBackend, Failure, ResultCallback
+from repro.session.backends import ExecutionBackend, Reply
 from repro.session.cache import (
     layer_result_from_dict,
     layer_result_to_dict,
@@ -66,16 +66,15 @@ from repro.session.cache import (
     network_result_to_dict,
 )
 from repro.session.engine import (
+    WorkPlan,
     WorkResult,
     WorkUnit,
-    describe_workload_error,
     execute_work_unit,
-    plan_workload,
     simulate_planned_blocks,
+    slice_work_unit,
     store_layer_record,
 )
 from repro.session.workload import Workload
-from repro.sim.results import NetworkResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.cache import ResultCache
@@ -476,13 +475,14 @@ class WorkerClient:
 class RemoteBackend(ExecutionBackend):
     """Shard work units across TCP worker daemons.
 
-    Workloads are planned centrally (identical to the pool backend), and
-    the pending units drain through the workers work-stealing style: each
-    worker's thread pulls the next unit the moment it finishes its current
-    one, so a dead worker forfeits only its in-flight unit — the survivors
-    absorb the rest of the schedule.  Results compose and commit in
-    schedule order after the drain, preserving the serial path's
-    deferred-block semantics and byte-identical output.
+    The shared execute loop plans every workload centrally; this
+    backend's reply primitive drains the pending units through the workers
+    work-stealing style: each worker's thread pulls the next unit the
+    moment it finishes its current one, so a dead worker forfeits only its
+    in-flight unit — the survivors absorb the rest of the schedule.
+    Results compose and commit in schedule order after the drain,
+    preserving the serial path's deferred-block semantics and
+    byte-identical output.
     """
 
     name = "remote"
@@ -596,64 +596,26 @@ class RemoteBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # ExecutionBackend interface
     # ------------------------------------------------------------------ #
-    def execute(
-        self,
-        session: "EvaluationSession",
-        items: list[tuple[str, Workload]],
-        on_result: ResultCallback | None = None,
-    ) -> tuple[dict[str, NetworkResult], list[Failure]]:
-        stats = session.stats
-        stats.workers.backend = self.name
-        claimed: set[str] = set()
-        plans = []
-        pending_units: list[tuple[int, WorkUnit]] = []
-        for slot, (_, workload) in enumerate(items):
-            plan = plan_workload(workload, session.cache, stats, claimed)
-            plans.append(plan)
+    def replies(
+        self, session: "EvaluationSession", plans: Iterator[WorkPlan], count: int
+    ) -> Iterator[tuple[WorkPlan, Reply]]:
+        """Drain every plan's unit through the workers; replies in order.
+
+        A unit whose worker died (or timed out) holding it replies with
+        that exception — exactly the crashed-future path.
+        """
+        workers = session.stats.workers
+        workers.backend = self.name
+        plans = list(plans)
+        units: list[tuple[int, WorkUnit]] = []
+        for slot, plan in enumerate(plans):
             if plan.needs_worker:
                 unit = plan.work_unit()
-                stats.workers.units += 1
-                stats.workers.remote_blocks += len(unit.simulate_indices)
-                pending_units.append((slot, unit))
-        replies = self._run_units(pending_units, stats)
-        resolved: dict[str, NetworkResult] = {}
-        failures: list[Failure] = []
-        for slot, ((key, workload), plan) in enumerate(zip(items, plans)):
-            reply: WorkResult | None = None
-            if plan.needs_worker:
-                answer = replies[slot]
-                if isinstance(answer, Exception):
-                    # The worker died (or timed out) holding this unit: the
-                    # reply never arrived.  Exactly the crashed-future path —
-                    # fail the workload into the session's retry/quarantine
-                    # policy and carry on with the survivors.
-                    failures.append(
-                        Failure(key, workload, describe_workload_error(workload, answer))
-                    )
-                    continue
-                reply = answer
-            if reply is not None and reply.error is not None:
-                failures.append(Failure(key, workload, reply.error))
-                continue
-            if reply is not None:
-                stats.compile_seconds += reply.compile_seconds
-                stats.sim_seconds += reply.sim_seconds
-            try:
-                if reply is not None and reply.result is not None:
-                    result = reply.result
-                else:
-                    remote = dict(reply.layers) if reply is not None else {}
-                    started = time.perf_counter()
-                    result = session._compose_plan(plan, remote)
-                    stats.compose_seconds += time.perf_counter() - started
-            except Exception as error:
-                failures.append(
-                    Failure(key, workload, describe_workload_error(workload, error))
-                )
-                continue
-            session._commit(key, workload, result, on_result)
-            resolved[key] = result
-        return resolved, failures
+                workers.record_unit(unit)
+                units.append((slot, unit))
+        replies = self._run_units(units, session.stats)
+        for slot, plan in enumerate(plans):
+            yield plan, replies.get(slot, WorkResult())
 
     def simulate_plans(self, plans: Sequence[Any]) -> list[dict[int, Any]]:
         """Shard arbitrary plans' missing blocks across the workers.
@@ -665,31 +627,18 @@ class RemoteBackend(ExecutionBackend):
         never sees a transport fault.
         """
         out: list[dict[int, Any]] = [{} for _ in plans]
-        pending: list[tuple[int, Any]] = []
-        units: list[tuple[int, WorkUnit]] = []
-        for index, plan in enumerate(plans):
-            if plan.program is None or not plan.simulate_indices:
-                continue
-            blocks = plan.program.blocks
-            payload = {
-                "network_name": plan.program.network_name,
-                "blocks": [blocks[i].to_dict() for i in plan.simulate_indices],
-            }
-            unit = WorkUnit(
-                workload=getattr(plan, "workload", None),
-                program_payload=payload,
-                simulate_indices=tuple(plan.simulate_indices),
-                config=plan.config,
-            )
-            pending.append((index, plan))
-            units.append((index, unit))
+        units = [
+            (index, slice_work_unit(plan))
+            for index, plan in enumerate(plans)
+            if plan.program is not None and plan.simulate_indices
+        ]
         if not units:
             return out
         replies = self._run_units(units)
-        for index, plan in pending:
+        for index, _ in units:
             reply = replies[index]
             if isinstance(reply, Exception) or reply.error is not None:
-                out[index] = simulate_planned_blocks([plan])[0]
+                out[index] = simulate_planned_blocks([plans[index]])[0]
             else:
                 out[index] = dict(reply.layers)
         return out

@@ -19,30 +19,29 @@ report runner installs its own session for the duration of a report via
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.config import BitFusionConfig
 from repro.session import testing
 from repro.session.backends import (
     ExecutionBackend,
     Failure,
-    InlineBackend,
-    ProcessPoolBackend,
+    ResultCallback,
+    failure_message,
+    make_backend,
+    result_of,
 )
 from repro.session.cache import CacheStats, ProgramStats, ResultCache
 from repro.session.checkpoint import SweepCheckpoint
 from repro.session.engine import (
     QuarantineRecord,
+    WorkResult,
     WorkloadExecutionError,
-    compose_plan,
-    describe_workload_error,
     execute_work_unit,
-    execute_workload,
     obtain_program,
     plan_workload,
     program_cache_key,
@@ -60,20 +59,6 @@ __all__ = [
     "resolve_session",
     "use_session",
 ]
-
-#: Callback fired once per unique workload the moment its result is known
-#: (cache hit at lookup, or commit after fresh execution) — the streaming
-#: seam incremental Pareto reduction hangs off.
-ResultCallback = Callable[[Workload, NetworkResult], None]
-
-
-class _RetryError(RuntimeError):
-    """A retry attempt failed; carries the already-formatted failure message."""
-
-    def __init__(self, message: str) -> None:
-        self.message = message
-        super().__init__(message)
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -148,10 +133,12 @@ class EvaluationSession:
         Explicit :class:`~repro.session.backends.ExecutionBackend` owning
         where pending work executes (inline, process pool, or remote TCP
         workers).  Mutually exclusive with a non-default ``jobs``; the
-        session adopts the backend's job count when it has one.  The
-        session retains everything else — cache resolution, commit
-        ordering, retry-once/quarantine, the checkpoint journal — so every
-        backend shares the same fault-tolerance and byte-identity
+        session adopts the backend's job count when it has one.  Every
+        backend runs the one execute loop of
+        :meth:`~repro.session.backends.ExecutionBackend.execute` (plan,
+        compose, commit in schedule order) and the session keeps cache
+        resolution, retry-once/quarantine and the checkpoint journal, so
+        every backend shares the same fault-tolerance and byte-identity
         contracts.
     cache_dir:
         Optional directory for the persistent artifact store (a segmented
@@ -196,22 +183,11 @@ class EvaluationSession:
             raise ValueError("pass either cache or cache_dir, not both")
         if cache is not None and max_cache_bytes is not None:
             raise ValueError("max_cache_bytes only applies when the session owns its cache")
-        if backend is None:
-            backend = ProcessPoolBackend(jobs) if jobs > 1 else InlineBackend()
-        self.backend = backend
-        self.jobs = getattr(backend, "jobs", jobs)
+        self.backend = backend if backend is not None else make_backend(jobs=jobs)
+        self.jobs = getattr(self.backend, "jobs", jobs)
         self.cache = cache if cache is not None else ResultCache(cache_dir, max_cache_bytes)
         self.stats = CacheStats()
         self.checkpoint = checkpoint
-
-    @property
-    def _pool(self):
-        """The process-pool backend's executor (tests swap in stand-ins)."""
-        return getattr(self.backend, "_pool", None)
-
-    @_pool.setter
-    def _pool(self, pool) -> None:
-        self.backend._pool = pool
 
     def close(self) -> None:
         """Shut down the execution backend and flush cache bookkeeping.
@@ -342,22 +318,6 @@ class EvaluationSession:
                 self.cache.flush()
         return [resolved[key] for key in keys]
 
-    def _finish_plan(self, workload: Workload, plan, layers) -> NetworkResult:
-        """Compose a planned Bit Fusion workload (or run a baseline whole)."""
-        if plan.program is None:
-            started = time.perf_counter()
-            result = execute_workload(workload)
-            self.stats.sim_seconds += time.perf_counter() - started
-        else:
-            started = time.perf_counter()
-            result = compose_plan(plan, layers, self.cache, self.stats)
-            self.stats.compose_seconds += time.perf_counter() - started
-        return result
-
-    def _compose_plan(self, plan, remote) -> NetworkResult:
-        """Compose a plan from worker-delivered layers plus cached artifacts."""
-        return compose_plan(plan, remote, self.cache, self.stats)
-
     # ------------------------------------------------------------------ #
     # Retry-once / quarantine policy
     # ------------------------------------------------------------------ #
@@ -390,11 +350,7 @@ class EvaluationSession:
             try:
                 result = self._retry_workload(failure.workload)
             except Exception as error:
-                message = (
-                    error.message
-                    if isinstance(error, _RetryError)
-                    else describe_workload_error(failure.workload, error)
-                )
+                message = failure_message(failure.workload, error)
                 messages.append(message)
                 quarantined.append(
                     QuarantineRecord(
@@ -425,15 +381,8 @@ class EvaluationSession:
         """
         retry_stats = CacheStats()
         plan = plan_workload(workload, self.cache, retry_stats, set())
-        remote: dict[int, object] = {}
-        if plan.needs_worker:
-            reply = execute_work_unit(plan.work_unit())
-            if reply.error is not None:
-                raise _RetryError(reply.error)
-            if reply.result is not None:
-                return reply.result
-            remote = dict(reply.layers)
-        return compose_plan(plan, remote, self.cache, retry_stats)
+        reply = execute_work_unit(plan.work_unit()) if plan.needs_worker else WorkResult()
+        return result_of(plan, reply, self.cache, retry_stats)
 
     # ------------------------------------------------------------------ #
     # Committing results
@@ -445,7 +394,11 @@ class EvaluationSession:
         result: NetworkResult,
         on_result: ResultCallback | None,
     ) -> None:
-        """A workload resolved straight from the cache at lookup time."""
+        """Journal a resolved workload as completed and notify the stream.
+
+        Cache hits at lookup time land here directly; fresh results only
+        after :meth:`_commit` has stored them.
+        """
         if self.checkpoint is not None:
             self.checkpoint.record_completed(key)
         if on_result is not None:
@@ -468,10 +421,7 @@ class EvaluationSession:
         that only ever under-reports completed work, never over-reports it.
         """
         self._store_result(key, workload, result)
-        if self.checkpoint is not None:
-            self.checkpoint.record_completed(key)
-        if on_result is not None:
-            on_result(workload, result)
+        self._note_resolved(key, workload, result, on_result)
         testing.fire_after_commit(workload, result)
 
     def _store_result(self, key: str, workload: Workload, result: NetworkResult) -> None:

@@ -19,6 +19,7 @@ The guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -32,7 +33,14 @@ from pathlib import Path
 
 import pytest
 
-from faults import InjectedConnectionDrop, drop_connections
+from faults import (
+    CapturingInlinePool,
+    InjectedConnectionDrop,
+    InjectedWorkerCrash,
+    crash_work_units,
+    drop_connections,
+    faulty_simulators,
+)
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.layers import ConvLayer
@@ -43,6 +51,7 @@ from repro.session import (
     InlineBackend,
     ProcessPoolBackend,
     Workload,
+    WorkloadExecutionError,
     execute_workload,
     make_backend,
 )
@@ -370,6 +379,119 @@ class TestRemoteChaos:
                     proc.terminate()
                     proc.wait(timeout=10)
                 proc.stdout.close()
+
+
+def _fault_grid() -> list[Workload]:
+    """A batch with an in-batch deferred claimant and a crashable last unit.
+
+    The two LeNet-5 batch-4 points differ only in frequency, which leaves
+    every block key equal: the first in schedule order claims the blocks,
+    the second defers to it.  LSTM at batch 1 is the cheapest point, so its
+    unit is the last one drained (a crash there cannot take a single remote
+    worker down before the others ran), and its ``lstm1`` block name is
+    unique to it.
+    """
+    base = BitFusionConfig.eyeriss_matched(batch_size=4)
+    return [
+        Workload.bitfusion("LeNet-5", batch_size=4, config=base),
+        Workload.bitfusion("LeNet-5", batch_size=4, config=base.with_frequency(250.0)),
+        Workload.bitfusion("LeNet-5", batch_size=2),
+        Workload.bitfusion("LSTM", batch_size=1),
+    ]
+
+
+def _serve_until_crash(server: WorkerServer) -> None:
+    """Serve until an injected crash takes the worker down, like a dead process."""
+    try:
+        server.serve_forever()
+    except InjectedWorkerCrash:
+        pass
+
+
+class TestCrossBackendFaultParity:
+    """Inline, pool and remote fail, retry and quarantine one batch alike."""
+
+    @staticmethod
+    def _outcome(session, grid, crashed):
+        with crash_work_units([crashed.fingerprint()], times=2):
+            with pytest.raises(WorkloadExecutionError) as excinfo:
+                session.run_many(grid)
+        survivors = {
+            workload.fingerprint(): network_result_to_dict(
+                session.cache.get(workload.fingerprint())
+            )
+            for workload in grid
+            if workload is not crashed
+        }
+        quarantined = {record.fingerprint for record in excinfo.value.quarantined}
+        stats = session.stats
+        return survivors, quarantined, (stats.programs, stats.blocks, stats.retries)
+
+    def test_inline_pool_and_remote_agree_on_a_crashed_batch(self):
+        grid = _fault_grid()
+        crashed = grid[-1]
+        outcomes = {}
+        # Inline runs no work unit on a first attempt, so its first failure
+        # is injected one level down, as a simulator fault on the block
+        # only the crashed workload has; its retry ships a unit and crashes.
+        with faulty_simulators(["lstm1"]), EvaluationSession() as inline:
+            outcomes["inline"] = self._outcome(inline, grid, crashed)
+        with EvaluationSession(jobs=2) as pooled:
+            pooled.backend._pool = CapturingInlinePool()
+            outcomes["pool"] = self._outcome(pooled, grid, crashed)
+        server = WorkerServer()
+        thread = threading.Thread(target=_serve_until_crash, args=(server,), daemon=True)
+        thread.start()
+        try:
+            with remote_session([server.address]) as remoted:
+                outcomes["remote"] = self._outcome(remoted, grid, crashed)
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+        assert outcomes["pool"] == outcomes["inline"]
+        assert outcomes["remote"] == outcomes["inline"]
+        survivors, quarantined, (programs, blocks, retries) = outcomes["inline"]
+        assert quarantined == {crashed.fingerprint()}
+        assert retries == 1
+        assert survivors == {
+            workload.fingerprint(): network_result_to_dict(execute_workload(workload))
+            for workload in grid
+            if workload is not crashed
+        }
+        # The deferred neighbour composed from its claimant's blocks.
+        assert blocks.hits > 0
+
+    def test_unplannable_workload_is_quarantined_on_every_backend(self, tmp_path):
+        # Buffers too small for any tiling: compiling the workload raises
+        # at plan time.  Every backend isolates it like an execution fault
+        # and still commits its neighbour.
+        tiny = dataclasses.replace(
+            BitFusionConfig.eyeriss_matched(batch_size=4),
+            ibuf_kb=0.001,
+            wbuf_kb=0.001,
+            obuf_kb=0.001,
+        )
+        bad = Workload.bitfusion("LeNet-5", batch_size=4, config=tiny)
+        good = Workload.bitfusion("LSTM", batch_size=4)
+        journal = SweepCheckpoint(tmp_path / "sweep-checkpoint.jsonl")
+        sessions = {
+            "inline": EvaluationSession(),
+            "checkpointed": EvaluationSession(checkpoint=journal),
+            "pool": EvaluationSession(jobs=2),
+        }
+        sessions["pool"].backend._pool = CapturingInlinePool()
+        for name, session in sessions.items():
+            with session:
+                with pytest.raises(WorkloadExecutionError) as excinfo:
+                    session.run_many([good, bad])
+                assert [record.fingerprint for record in excinfo.value.quarantined] == [
+                    bad.fingerprint()
+                ], name
+                assert "no feasible tiling" in str(excinfo.value), name
+                assert network_result_to_dict(
+                    session.cache.get(good.fingerprint())
+                ) == network_result_to_dict(execute_workload(good)), name
 
 
 class TestCheckpointConcurrency:

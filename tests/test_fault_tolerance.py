@@ -161,7 +161,7 @@ class TestRetryOnce:
         serial_baseline = _dicts([execute_workload(workload) for workload in grid])
         target = grid[1].fingerprint()
         session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
+        session.backend._pool = CapturingInlinePool()
         try:
             with crash_work_units([target], times=1) as crashes:
                 results = session.run_many(grid)
@@ -209,7 +209,7 @@ class TestQuarantine:
         serial_baseline = _dicts([execute_workload(workload) for workload in grid])
         target = grid[1]
         session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
+        session.backend._pool = CapturingInlinePool()
         try:
             # times=2 kills the first attempt *and* the retry.
             with crash_work_units([target.fingerprint()], times=2) as crashes:
@@ -254,7 +254,7 @@ class TestQuarantine:
         ]
         claimant = min(pair, key=lambda workload: workload.fingerprint())
         session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
+        session.backend._pool = CapturingInlinePool()
         try:
             with crash_work_units([claimant.fingerprint()], times=99) as crashes:
                 results = session.run_many(pair)
@@ -278,7 +278,7 @@ class TestQuarantine:
         baseline = _dicts([execute_workload(workload) for workload in grid])
         targets = {grid[index].fingerprint() for index in crashed}
         session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
+        session.backend._pool = CapturingInlinePool()
         try:
             with crash_work_units(targets, times=2):
                 with pytest.raises(WorkloadExecutionError) as excinfo:

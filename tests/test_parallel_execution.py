@@ -218,7 +218,7 @@ class TestWorkerFailureIsolation:
         session = EvaluationSession(jobs=2)
         # Monkeypatches do not cross process boundaries, so drive the same
         # parallel code path through an in-process pool stand-in.
-        session._pool = _InlinePool()
+        session.backend._pool = _InlinePool()
         with pytest.raises(WorkloadExecutionError) as excinfo:
             session.run_many([good, bad])
         assert "bitfusion/LSTM" in str(excinfo.value)
@@ -259,7 +259,7 @@ class TestWorkerFailureIsolation:
 
         monkeypatch.setattr(engine, "BitFusionSimulator", _FailOnce)
         session = EvaluationSession(jobs=2)
-        session._pool = _InlinePool()
+        session.backend._pool = _InlinePool()
         results = session.run_many([first, second])
         assert session.stats.retries == 1
         assert "workload retries: 1" in session.stats.summary()
